@@ -9,12 +9,12 @@
 //! matter which thread finished first, and memory stays bounded by the
 //! pool's out-of-order window rather than the die count.
 //!
-//! [`run_campaign_streaming`] is the general engine: it can start at any
-//! die index, resume from a checkpointed aggregate, observe every folded
-//! die through a callback and stop early at a die boundary — which is
+//! [`run_campaign_streaming`] is the general engine: it runs any die
+//! range, resumes from a checkpointed aggregate, observes every folded
+//! die through a callback and can stop early at a die boundary — which is
 //! what the campaign service builds its slice scheduler, result streams
 //! and checkpoint/resume on. [`run_campaign_with`] is the one-shot
-//! special case (start at die 0, fresh aggregate, never stop early).
+//! special case (the whole wafer, fresh aggregate, never stop early).
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -47,10 +47,11 @@ use crate::CampaignError;
 const CHUNK: usize = 16;
 
 /// Lanes per die group when `batch = 0` asks for auto selection. A full
-/// claim chunk: every group is claim-aligned, so grouping is identical at
-/// any thread count. Wider groups amortize the lockstep round overhead
-/// (masked factor, lane scatter, prewarm bookkeeping) over more dies per
-/// round, and the lane-array exponential kernel fills wider SIMD vectors.
+/// claim chunk: every group is claim-aligned, so a one-shot run groups
+/// its dies identically at any thread count. Wider groups amortize the
+/// lockstep round overhead (masked factor, lane scatter, prewarm
+/// bookkeeping) over more dies per round, and the lane-array exponential
+/// kernel fills wider SIMD vectors.
 const AUTO_BATCH: usize = 16;
 
 /// A finished campaign: the deterministic aggregate plus the run's
@@ -110,6 +111,11 @@ pub struct StreamOptions {
     /// First die index to run. Dies `0..start_die` are assumed already
     /// folded into [`StreamOptions::resume`].
     pub start_die: usize,
+    /// One past the last die index to run; `None` runs to the end of the
+    /// wafer. With `start_die` this is the range `start_die..end_die`:
+    /// workers never claim past it, so a slice of a larger run computes
+    /// exactly its own dies.
+    pub end_die: Option<usize>,
     /// Aggregate state to continue from (a decoded checkpoint), or `None`
     /// for a fresh one. Must hold exactly the fold of dies
     /// `0..start_die` for the determinism guarantee to carry over.
@@ -238,7 +244,7 @@ pub fn run_campaign_with(
     run_campaign_streaming(spec, threads, &stream, |_, _| ControlFlow::Continue(()))
 }
 
-/// The general streaming engine: runs dies `start_die..` of `spec`,
+/// The general streaming engine: runs dies `start_die..end_die` of `spec`,
 /// folding them **in index order** into a fresh or resumed aggregate, and
 /// hands every folded die to `on_die` together with the aggregate state
 /// after absorbing it. Returning [`ControlFlow::Break`] stops the run at
@@ -247,16 +253,20 @@ pub fn run_campaign_with(
 /// aggregate exactly as `on_die` last saw it — a valid checkpoint state
 /// for `next_die = last_index + 1`.
 ///
-/// Because the fold is strictly index-ordered, running dies `0..k` (via a
-/// break), checkpointing, and resuming with `start_die = k` produces an
-/// aggregate — and therefore report bytes — identical to one
-/// uninterrupted run, at any thread counts on either side of the split.
+/// Because the fold is strictly index-ordered, running dies `0..k` (with
+/// `end_die = Some(k)` or via a break), checkpointing, and resuming with
+/// `start_die = k` produces an aggregate — and therefore report bytes —
+/// identical to one uninterrupted run, at any thread counts on either
+/// side of the split. A bounded range is the cheap way to run a slice:
+/// no worker computes a die past `end_die`, whereas a break discards
+/// whatever the pool had already claimed.
 ///
 /// # Errors
 ///
-/// [`CampaignError::InvalidSpec`] from spec validation, or when
+/// [`CampaignError::InvalidSpec`] from spec validation, when
 /// `start_die` exceeds the die count (a resume cursor from a checkpoint
-/// that does not belong to this wafer).
+/// that does not belong to this wafer), or when `end_die` lies before
+/// `start_die` or past the die count.
 pub fn run_campaign_streaming<F>(
     spec: &CampaignSpec,
     threads: usize,
@@ -271,10 +281,11 @@ where
         return Err(CampaignError::invalid(format!("chaos spec: {e}")));
     }
     let sites = spec.wafer.sites();
-    if options.start_die > sites.len() {
+    let start = options.start_die;
+    let end = options.end_die.unwrap_or(sites.len());
+    if start > end || end > sites.len() {
         return Err(CampaignError::invalid(format!(
-            "start die {} beyond the wafer's {} dies",
-            options.start_die,
+            "die range {start}..{end} does not fit the wafer's {} dies",
             sites.len()
         )));
     }
@@ -282,6 +293,15 @@ where
     // setpoint list is computed once here, not once per corner per die.
     let setpoints = spec.plan.setpoints();
     let threads = threads.max(1);
+    // Dies per cursor bump. A bounded range shorter than one chunk per
+    // worker is split evenly instead, so every worker gets a share of a
+    // short slice. A run to the wafer's end keeps `CHUNK` claims, so a
+    // one-shot run groups and counts its dies as it always has.
+    let claim = if options.end_die.is_some() && end - start < threads * CHUNK {
+        CHUNK.min((end - start).div_ceil(threads)).max(1)
+    } else {
+        CHUNK
+    };
     let owned_counters;
     let counters: &CampaignCounters = match options.counters.as_deref() {
         Some(shared) => shared,
@@ -290,7 +310,7 @@ where
             &owned_counters
         }
     };
-    let cursor = Arc::new(AtomicUsize::new(options.start_die));
+    let cursor = Arc::new(AtomicUsize::new(start));
     let tracing = options.trace;
     // Containment state. A chaos plan is built only when the die-panic
     // knob is armed — write/socket faults act at the service layer, not
@@ -307,9 +327,10 @@ where
     // plan to carry a lane, so a spec disabling either falls back to the
     // scalar per-die path — as does adaptive corner scheduling, whose
     // per-die skip decision the corner-outer lockstep driver cannot
-    // express. Groups never straddle a claim chunk, so the grouping —
-    // and therefore every accepted bit — is identical at any thread
-    // count.
+    // express. Groups never straddle a claim, so a one-shot run's
+    // grouping is identical at any thread count. A short bounded range
+    // packs its lanes by thread count, which is bit-inert: the batched
+    // path accepts exactly the scalar path's bits at any lane count.
     let batch_lanes = {
         let requested = if options.batch == 0 {
             AUTO_BATCH
@@ -317,7 +338,7 @@ where
             options.batch
         };
         if spec.warm_start && spec.sparse && !contained && !spec.adaptive {
-            requested.min(CHUNK).min(MAX_LANES)
+            requested.min(claim).min(MAX_LANES)
         } else {
             1
         }
@@ -379,12 +400,12 @@ where
                     }
                     let mut group_out: Vec<DieOutcome> = Vec::with_capacity(batch_lanes);
                     'claim_batched: loop {
-                        let base = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                        if base >= sites.len() {
+                        let base = cursor.fetch_add(claim, Ordering::Relaxed);
+                        if base >= end {
                             break;
                         }
-                        let end = (base + CHUNK).min(sites.len());
-                        for group in sites[base..end].chunks(batch_lanes) {
+                        let stop = (base + claim).min(end);
+                        for group in sites[base..stop].chunks(batch_lanes) {
                             counters
                                 .started
                                 .fetch_add(group.len() as u64, Ordering::Relaxed);
@@ -423,12 +444,12 @@ where
                 };
                 let mut scratch = fresh_scratch(&symbolic_cache);
                 'claim: loop {
-                    let base = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if base >= sites.len() {
+                    let base = cursor.fetch_add(claim, Ordering::Relaxed);
+                    if base >= end {
                         break;
                     }
-                    let end = (base + CHUNK).min(sites.len());
-                    for site in &sites[base..end] {
+                    let stop = (base + claim).min(end);
+                    for site in &sites[base..stop] {
                         counters.started.fetch_add(1, Ordering::Relaxed);
                         // Solve containment: die work runs under an
                         // unwind guard so one poisoned die retires into
@@ -475,7 +496,7 @@ where
         // early arrivals; with chunked claiming its size is bounded by
         // roughly threads x CHUNK, not by the wafer.
         let mut buffer: BTreeMap<usize, (DieOutcome, u64)> = BTreeMap::new();
-        let mut next = options.start_die;
+        let mut next = start;
         'fold: for out in rx {
             let recv_ns = if tracing {
                 started.elapsed().as_nanos() as u64
@@ -682,10 +703,10 @@ mod tests {
 
     #[test]
     fn start_die_boundary_matrix_resumes_and_terminates_cleanly() {
-        // 20 dies probes every boundary class: 0 (fresh), claim-chunk
-        // multiples (CHUNK = 8), the service's default slice cadence
-        // (16), the last die, one-past-the-end (a valid empty resume),
-        // and beyond (invalid).
+        // 20 dies probes every boundary class: 0 (fresh), mid-chunk (8),
+        // the claim chunk and the service's default slice cadence (both
+        // CHUNK = 16), the last die, one-past-the-end (a valid empty
+        // resume), and beyond (invalid).
         let mut s = CampaignSpec::paper_default(WaferMap::full(4, 5), 23);
         s.corners.truncate(1);
         let len = s.wafer.die_count();
@@ -756,6 +777,92 @@ mod tests {
             |_, _| ControlFlow::Continue(()),
         );
         assert!(err.is_err());
+    }
+
+    /// Thread counts and range lengths of the bounded-range tests: shorter
+    /// than one chunk, one chunk, just past it, and past two chunks.
+    const RANGE_THREADS: [usize; 3] = [1, 2, 8];
+    const RANGE_LENS: [usize; 5] = [1, 7, 16, 17, 33];
+
+    fn range_spec() -> CampaignSpec {
+        let mut s = CampaignSpec::paper_default(WaferMap::full(5, 7), 29);
+        s.corners.truncate(1);
+        assert_eq!(s.wafer.die_count(), 35);
+        s
+    }
+
+    fn bounded(start_die: usize, end_die: usize) -> StreamOptions {
+        StreamOptions {
+            start_die,
+            end_die: Some(end_die),
+            ..StreamOptions::default()
+        }
+    }
+
+    #[test]
+    fn bounded_range_starts_exactly_its_dies() {
+        let s = range_spec();
+        for threads in RANGE_THREADS {
+            for len in RANGE_LENS {
+                // Start off the claim grid so no bound lines up by luck.
+                let (start, end) = (1, 1 + len);
+                let mut seen = Vec::new();
+                let run = run_campaign_streaming(&s, threads, &bounded(start, end), |die, _| {
+                    seen.push(die.index);
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+                let case = format!("threads={threads} len={len}");
+                assert_eq!(seen, (start..end).collect::<Vec<_>>(), "{case}");
+                assert_eq!(run.metrics.dies_started, len as u64, "{case}");
+                assert_eq!(run.metrics.dies_completed, len as u64, "{case}");
+                assert_eq!(run.aggregate.dies, len as u64, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_slices_concatenated_through_resume_equal_the_one_shot_run() {
+        let s = range_spec();
+        let total = s.wafer.die_count();
+        let whole = run_campaign(&s, 2).unwrap();
+        for threads in RANGE_THREADS {
+            for len in RANGE_LENS {
+                let counters = Arc::new(CampaignCounters::default());
+                let mut aggregate = None;
+                for start in (0..total).step_by(len) {
+                    let options = StreamOptions {
+                        resume: aggregate.take(),
+                        counters: Some(Arc::clone(&counters)),
+                        ..bounded(start, (start + len).min(total))
+                    };
+                    let run = run_campaign_streaming(&s, threads, &options, |_, _| {
+                        ControlFlow::Continue(())
+                    })
+                    .unwrap();
+                    aggregate = Some(run.aggregate);
+                }
+                let case = format!("threads={threads} len={len}");
+                assert_eq!(aggregate.as_ref(), Some(&whole.aggregate), "{case}");
+                let m = counters.snapshot(threads, 1, 1);
+                assert_eq!(m.dies_started, total as u64, "{case}");
+                assert_eq!(m.dies_completed, total as u64, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn end_bound_outside_the_wafer_or_before_the_start_is_invalid() {
+        let s = tiny_spec();
+        let run = |options: StreamOptions| {
+            run_campaign_streaming(&s, 2, &options, |_, _| ControlFlow::Continue(()))
+        };
+        assert!(run(bounded(4, 3)).is_err());
+        assert!(run(bounded(0, 10)).is_err());
+        // An empty range is a valid no-op, as an empty resume is.
+        let empty = run(bounded(4, 4)).unwrap();
+        assert_eq!(empty.aggregate.dies, 0);
+        assert_eq!(empty.metrics.dies_started, 0);
     }
 
     #[test]

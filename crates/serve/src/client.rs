@@ -2,14 +2,14 @@
 //! `repro watch` and the end-to-end tests.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use icvbe_campaign::json::{parse, Json};
 use icvbe_campaign::wire::spec_to_json;
 use icvbe_campaign::CampaignSpec;
 
-use crate::protocol::PROTOCOL_VERSION;
+use crate::protocol::{write_line, PROTOCOL_VERSION};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -96,6 +96,9 @@ impl Client {
     /// with kind `unsupported_version` on a version mismatch.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        // Request lines are small and each waits for its reply: send them
+        // at once rather than holding them back for a delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = Client { reader, writer };
         client.send(&format!(
@@ -107,9 +110,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        Ok(write_line(&mut self.writer, line)?)
     }
 
     fn recv(&mut self) -> Result<Json, ClientError> {

@@ -3,20 +3,25 @@
 //!
 //! Each connection gets its own thread (connections are few and mostly
 //! idle or streaming; a thread per connection keeps the code free of any
-//! event-loop dependency). The accept loop polls a non-blocking listener
-//! so a shutdown request can stop it promptly without needing a way to
-//! interrupt `accept`.
+//! event-loop dependency). The accept loop blocks in `accept`, so a new
+//! connection is served the moment it arrives; a shutdown — from
+//! [`Daemon::stop`] or the `shutdown` verb — wakes it with one loopback
+//! connection of its own.
+//!
+//! Every socket runs with `TCP_NODELAY` and every line goes out in one
+//! write ([`write_line`]): the protocol is request/response, and a small
+//! segment held back for a delayed ACK would stall each exchange.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use icvbe_instrument::chaos::SocketFault;
 
 use crate::protocol::{
-    error_line, hello_line, parse_request, queue_full_line, submitted_line, ProtocolError, Request,
-    PROTOCOL_VERSION,
+    error_line, hello_line, parse_request, queue_full_line, submitted_line, write_line,
+    ProtocolError, Request, PROTOCOL_VERSION,
 };
 use crate::service::{Service, ServiceConfig, SubmitError};
 
@@ -37,29 +42,22 @@ impl Daemon {
     /// Socket bind errors and [`Service::start`] I/O errors.
     pub fn start(config: ServiceConfig, addr: &str) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let service = Arc::new(Service::start(config)?);
         let accept_service = Arc::clone(&service);
         let accept = std::thread::spawn(move || {
             // Connection ordinal: the key of per-connection chaos verdicts.
             let mut conn: u64 = 0;
-            loop {
+            while let Ok((socket, _)) = listener.accept() {
+                // A shutdown's wake-up connection, or a client that raced
+                // it: either way the daemon is closing.
                 if accept_service.is_shutdown() {
                     break;
                 }
-                match listener.accept() {
-                    Ok((socket, _)) => {
-                        conn += 1;
-                        let op = conn;
-                        let conn_service = Arc::clone(&accept_service);
-                        std::thread::spawn(move || handle_connection(&conn_service, socket, op));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
+                conn += 1;
+                let op = conn;
+                let conn_service = Arc::clone(&accept_service);
+                std::thread::spawn(move || handle_connection(&conn_service, socket, op, local));
             }
         });
         Ok(Daemon {
@@ -94,13 +92,23 @@ impl Daemon {
     /// `shutdown`) and waits for it.
     pub fn stop(self) {
         self.service.request_shutdown();
+        wake_accept(self.addr);
         self.wait();
     }
 }
 
-fn write_line(socket: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    socket.write_all(line.as_bytes())?;
-    socket.write_all(b"\n")
+/// Wakes an accept loop blocked on the listener at `addr` with one
+/// throwaway connection; the loop then sees the shutdown flag and exits.
+/// A wildcard bind address is reached through the loopback interface.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(5));
 }
 
 /// Outcome of one bounded request-line read.
@@ -150,9 +158,10 @@ fn read_bounded_line(reader: &mut BufReader<TcpStream>, cap: usize) -> LineRead 
 /// Hardened I/O: read/write timeouts shed stalled clients, request lines
 /// are length-capped, and the connection-keyed chaos plan can stall or
 /// reset the socket up front to exercise exactly those paths.
-fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64) {
-    // Socket timeouts apply to the shared underlying socket, so setting
+fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64, listener: SocketAddr) {
+    // Socket options apply to the shared underlying socket, so setting
     // them once here covers the cloned read half too.
+    let _ = socket.set_nodelay(true);
     if let Some(timeout) = service.io_timeout() {
         let _ = socket.set_read_timeout(Some(timeout));
         let _ = socket.set_write_timeout(Some(timeout));
@@ -251,15 +260,21 @@ fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64) {
                 continue;
             }
         };
-        if !dispatch(service, &mut socket, request) {
+        if !dispatch(service, &mut socket, request, listener) {
             return;
         }
     }
 }
 
 /// Handles one parsed request; returns `false` when the connection should
-/// close.
-fn dispatch(service: &Arc<Service>, socket: &mut TcpStream, request: Request) -> bool {
+/// close. `listener` is the daemon's own address, which a `shutdown`
+/// connects to so the blocked accept loop wakes and exits.
+fn dispatch(
+    service: &Arc<Service>,
+    socket: &mut TcpStream,
+    request: Request,
+    listener: SocketAddr,
+) -> bool {
     match request {
         Request::Hello { .. } => write_line(socket, &hello_line()).is_ok(),
         Request::Status => write_line(socket, &service.status_json()).is_ok(),
@@ -317,6 +332,7 @@ fn dispatch(service: &Arc<Service>, socket: &mut TcpStream, request: Request) ->
         Request::Shutdown => {
             let _ = write_line(socket, "{\"ok\":true,\"type\":\"shutdown\"}");
             service.request_shutdown();
+            wake_accept(listener);
             false
         }
     }

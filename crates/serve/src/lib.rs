@@ -15,8 +15,8 @@
 //!   starve another), one shared symbolic-LU cache across all jobs, per-
 //!   die event streams with history replay, and checkpoint files that let
 //!   a killed daemon resume every job **byte-identically**.
-//! - [`daemon`]: the TCP front end (thread per connection, polling accept
-//!   loop, no dependencies beyond `std`).
+//! - [`daemon`]: the TCP front end (thread per connection, blocking
+//!   accept loop, no dependencies beyond `std`).
 //! - [`client`]: a blocking client used by `repro submit` / `repro watch`
 //!   and the end-to-end tests.
 //! - [`shard`]: multi-process campaign execution — a supervisor spawns N

@@ -15,6 +15,8 @@
 //! | `{"cmd":"cancel","job":n}` | `cancelled` |
 //! | `{"cmd":"shutdown"}` | `shutdown`, then the daemon checkpoints and exits |
 
+use std::io::Write;
+
 use icvbe_campaign::json::{escape, parse, Json};
 use icvbe_campaign::wire::spec_from_value;
 use icvbe_campaign::CampaignSpec;
@@ -150,6 +152,23 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(ProtocolError::bad(format!("unknown cmd {other:?}"))),
     }
+}
+
+/// Sends one protocol line: `line` and its `\n` terminator, built into
+/// one buffer and handed to a single `write_all`. Both ends of a
+/// connection frame every line through here. A terminator sent as a
+/// write of its own becomes a second small segment that Nagle's
+/// algorithm holds back until the peer's delayed ACK, which stalls every
+/// request/response exchange by tens of milliseconds.
+///
+/// # Errors
+///
+/// Whatever the underlying writer reports.
+pub fn write_line<W: Write>(out: &mut W, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
 }
 
 /// Renders a typed error response. `retry_after_ms` is carried only by
@@ -291,6 +310,41 @@ mod tests {
         );
         let q = parse(&queue_full_line(250)).unwrap();
         assert_eq!(q.get("retry_after_ms").and_then(Json::as_u64), Some(250));
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_line_is_one_write_call() {
+        let big = done_line(3, &[("campaign_aggregate.csv", &"x,1\n".repeat(10_000))]);
+        for line in [hello_line(), submitted_line(1, 0), big] {
+            let mut out = CountingWriter::default();
+            write_line(&mut out, &line).unwrap();
+            assert_eq!(
+                out.writes,
+                1,
+                "a {}-byte line took several writes",
+                line.len()
+            );
+            assert_eq!(out.bytes, format!("{line}\n").into_bytes());
+        }
     }
 
     #[test]

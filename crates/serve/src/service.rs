@@ -70,8 +70,12 @@ pub struct ServiceConfig {
     /// Maximum live (queued + running) jobs; submissions beyond this are
     /// rejected with `queue_full`.
     pub queue_capacity: usize,
-    /// Dies folded per scheduling turn before the scheduler rotates to
-    /// the next tenant.
+    /// Dies per scheduling turn before the scheduler rotates to the next
+    /// tenant. A slice is the exact die range `next_die..next_die +
+    /// slice_dies` (clamped to the wafer): the worker pool computes those
+    /// dies and no others, splitting a slice shorter than one 16-die claim
+    /// per worker evenly across the workers. Slicing never changes the
+    /// report bytes, only how often tenants alternate.
     pub slice_dies: usize,
     /// Write a checkpoint every this many folded dies (0 disables the
     /// cadence; admission/shutdown checkpoints still happen when a
@@ -516,15 +520,18 @@ impl Inner {
         None
     }
 
-    /// Runs one bounded slice of a job on the worker pool.
+    /// Runs one slice of a job on the worker pool: exactly the dies
+    /// `next_die..next_die + slice_dies`, so no worker computes a die the
+    /// next slice would compute again.
     fn run_slice(self: &Arc<Inner>, task: SliceTask) {
         let slice_started = Instant::now();
-        let limit = self.config.slice_dies.max(1);
+        let end_die = (task.start_die + self.config.slice_dies.max(1)).min(task.total);
         let every = self.config.checkpoint_every;
         let mut folded = 0usize;
         let options = StreamOptions {
             trace: false,
             start_die: task.start_die,
+            end_die: Some(end_die),
             resume: Some(task.aggregate),
             symbolic_cache: Some(Arc::clone(&self.cache)),
             counters: Some(Arc::clone(&task.counters)),
@@ -558,10 +565,7 @@ impl Inner {
                         aggregate,
                     );
                 }
-                if task.cancel.load(Ordering::Relaxed)
-                    || inner.shutdown.load(Ordering::Relaxed)
-                    || folded >= limit
-                {
+                if task.cancel.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
@@ -1132,13 +1136,16 @@ impl Service {
     /// True once [`Service::request_shutdown`] has been called.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::Relaxed)
+        self.inner.shutdown.load(Ordering::Acquire)
     }
 
     /// Asks the scheduler to stop after the current slice. Live jobs are
     /// checkpointed on the way out; streaming clients are released.
     pub fn request_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        // Release pairs with the Acquire in `is_shutdown`: the daemon's
+        // accept loop, woken by a connection made after this store, must
+        // see the flag.
+        self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake.notify_all();
     }
 

@@ -484,30 +484,20 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         std::process::exit(3);
     }
 
+    // An empty slice (more shards than dies) runs no die and yields a
+    // valid, empty partial.
     let fingerprint = spec_fingerprint(&spec);
-    if start_die == end_die {
-        // An empty slice (more shards than dies): a valid, empty partial.
-        let p = PartialAggregate {
-            fingerprint,
-            start_die,
-            end_die,
-            aggregate: icvbe_campaign::aggregate::CampaignAggregate::new(&spec),
-            counters: CampaignCounters::default(),
-            max_reorder_buffer: 0,
-        };
-        return Ok(partial_to_json(&p));
-    }
-
     let counters = Arc::new(CampaignCounters::default());
     let options = StreamOptions {
         start_die,
+        end_die: Some(end_die),
         counters: Some(Arc::clone(&counters)),
         batch,
         budget,
         ..StreamOptions::default()
     };
     let mut folded = 0u64;
-    let run = run_campaign_streaming(&spec, threads, &options, |die, _| {
+    let run = run_campaign_streaming(&spec, threads, &options, |_, _| {
         folded += 1;
         if fail_here {
             // Mid-slice abort: at least one die folded, terminal line
@@ -517,11 +507,7 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         if folded.is_multiple_of(PROGRESS_EVERY) {
             println!("{{\"type\":\"progress\",\"shard\":{shard},\"folded\":{folded}}}");
         }
-        if die.index + 1 >= end_die {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
+        ControlFlow::Continue(())
     })
     .map_err(|e| ("run_failed".to_string(), e.to_string()))?;
 

@@ -1,13 +1,15 @@
 //! End-to-end tests of the campaign service over real TCP sockets: the
-//! version handshake, byte-identical streamed results, fair round-robin
-//! scheduling across tenants, `queue_full` backpressure, and a daemon
-//! restart that resumes from checkpoint files.
+//! version handshake, byte-identical streamed results, exact per-die work
+//! accounting, fair round-robin scheduling across tenants, `queue_full`
+//! backpressure, prompt shutdown, and a daemon restart that resumes from
+//! checkpoint files.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use icvbe_campaign::json::Json;
+use icvbe_campaign::json::{parse, Json};
 use icvbe_campaign::report::{aggregate_csv, aggregate_json, quarantine_csv, quarantine_json};
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 use icvbe_campaign::{run_campaign, CampaignRun};
@@ -110,6 +112,77 @@ fn streamed_submit_is_byte_identical_to_a_one_shot_run() {
     assert!(artifacts.iter().any(|(n, _)| n == "campaign_metrics.json"));
 
     daemon.stop();
+}
+
+#[test]
+fn served_lot_runs_each_die_exactly_once_at_any_slice_and_thread_count() {
+    // 25 dies: several 2-die slices, and one full 16-die slice plus a
+    // short tail at the default cadence.
+    let spec = spec(5, 0x51_1CE5);
+    let want = golden(&spec);
+    let total = spec.wafer.die_count() as u64;
+    for slice_dies in [2usize, 16] {
+        for threads in [1usize, 2] {
+            let case = format!("slice_dies={slice_dies} threads={threads}");
+            let config = ServiceConfig {
+                threads,
+                slice_dies,
+                ..ServiceConfig::default()
+            };
+            let daemon = Daemon::start(config, "127.0.0.1:0").expect("daemon");
+            let mut client = Client::connect(&daemon.local_addr().to_string()).expect("connect");
+            client.submit("acme", "lot", &spec, true).expect("submit");
+            let artifacts = client.wait_done(|_, _| {}).expect("job");
+            assert_matches_golden(&artifacts, &want);
+
+            // A slice computes its own dies and no others: nothing is
+            // discarded and recomputed by the next slice.
+            let metrics = artifacts
+                .iter()
+                .find(|(n, _)| n == "campaign_metrics.json")
+                .map(|(_, t)| parse(t).expect("metrics JSON"))
+                .unwrap_or_else(|| panic!("{case}: no metrics artifact"));
+            let count = |key: &str| metrics.get(key).and_then(Json::as_u64);
+            assert_eq!(count("dies_started"), Some(total), "{case}");
+            assert_eq!(count("dies_completed"), Some(total), "{case}");
+            daemon.stop();
+        }
+    }
+}
+
+#[test]
+fn stop_and_the_shutdown_verb_both_wake_the_blocked_accept_loop() {
+    for via_verb in [false, true] {
+        let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").expect("daemon");
+        // One served exchange first, so the accept loop is back in `accept`.
+        let mut client = Client::connect(&daemon.local_addr().to_string()).expect("connect");
+        client.status().expect("status");
+        let started = Instant::now();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            if via_verb {
+                client.shutdown().expect("shutdown");
+                daemon.wait();
+            } else {
+                daemon.stop();
+            }
+            let _ = tx.send(());
+        });
+        // Both paths join the accept loop, so returning at all proves it
+        // woke; a loop left blocked in `accept` never returns.
+        let how = if via_verb {
+            "shutdown verb"
+        } else {
+            "Daemon::stop"
+        };
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{how}: daemon did not stop within 10 s"));
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "{how}: stopping took {took:?}"
+        );
+    }
 }
 
 #[test]

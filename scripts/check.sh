@@ -138,6 +138,12 @@ for f in $frozen; do
   cmp "$smoke_dir/golden_small/$f" "$smoke_dir/served/$f" || \
     { echo "FAIL: $f differs between one-shot and served"; exit 1; }
 done
+# Each slice runs exactly its own dies: the served job starts as many dies
+# as the lot holds, none discarded and recomputed by the next slice.
+dies="$(grep -o '"totals":{"dies":[0-9]*' "$smoke_dir/served/campaign_aggregate.json" \
+  | grep -o '[0-9]*$')"
+grep -q "\"dies_started\":$dies," "$smoke_dir/served/campaign_metrics.json" || \
+  { echo "FAIL: served lot of $dies dies did not start exactly $dies dies"; exit 1; }
 # A second, much larger lot: SIGKILL the daemon once its checkpoint file
 # shows mid-campaign progress, restart on the same directory, and collect
 # the resumed job by label — bytes must still match the one-shot run.
