@@ -6,7 +6,6 @@
 //! the QB substrate parasitic (8x area), the op-amp/readout offset, and
 //! bias-source mismatch all perturb `dVBE` exactly as they do on silicon.
 
-use icvbe_spice::batch::{solve_dc_batch, BatchWorkspace, LaneCtx, LaneOutcome, MAX_LANES};
 use icvbe_spice::bjt::{Bjt, BjtParams, Polarity, SubstrateJunction};
 use icvbe_spice::element::CurrentSource;
 use icvbe_spice::netlist::{Circuit, NodeId};
@@ -324,91 +323,6 @@ impl CompiledPair {
             .structure
             .reading_from(vbe_a, vbe_b, &self.qa, &self.qb, temperature))
     }
-
-    /// Measures up to [`MAX_LANES`] compiled pairs at per-lane temperatures
-    /// through one lockstep batched solve
-    /// ([`icvbe_spice::batch::solve_dc_batch`]).
-    ///
-    /// `pairs`, `temperatures`, `workspaces` and `readings` are parallel
-    /// slices, one entry per lane. A lane is batch-eligible when the pair
-    /// carries a warm seed and its assembly has an armed symbolic plan (one
-    /// prior scalar [`CompiledPair::measure_at`] per pair provides both).
-    /// Each solved lane's reading lands in `readings[l]` with the warm seed
-    /// carried forward, **bit-identical** to a scalar warm-started
-    /// `measure_at` at the same temperature; a retired lane leaves `None`
-    /// and its warm state untouched, and the caller must fall back to the
-    /// scalar path for it.
-    ///
-    /// Returns the number of lanes that entered batched stepping.
-    pub fn measure_lanes(
-        pairs: &mut [&mut CompiledPair],
-        temperatures: &[Kelvin],
-        options: &DcOptions,
-        workspaces: &mut [&mut SolveWorkspace],
-        batch: &mut BatchWorkspace,
-        readings: &mut [Option<PairReading>],
-    ) -> usize {
-        for r in readings.iter_mut() {
-            *r = None;
-        }
-        let lanes = pairs.len();
-        if lanes == 0
-            || lanes > MAX_LANES
-            || temperatures.len() != lanes
-            || workspaces.len() != lanes
-            || readings.len() != lanes
-        {
-            return 0;
-        }
-        // Phase 1: immutable lane contexts over the pairs' compiled state.
-        // A pair without a warm seed gets an empty one, which the batch
-        // driver treats as ineligible (dimension mismatch).
-        let lane_ctx = |l: usize| {
-            let p: &CompiledPair = &*pairs[l];
-            LaneCtx {
-                circuit: &p.circuit,
-                assembly: &p.assembly,
-                temperature: temperatures[l],
-                seed: if p.has_warm { &p.warm } else { &[] },
-            }
-        };
-        let mut ctx = [lane_ctx(0); MAX_LANES];
-        for (l, slot) in ctx.iter_mut().enumerate().take(lanes).skip(1) {
-            *slot = lane_ctx(l);
-        }
-        let mut outcomes = [LaneOutcome::Retired; MAX_LANES];
-        let entered = solve_dc_batch(
-            &ctx[..lanes],
-            options,
-            &mut workspaces[..lanes],
-            batch,
-            &mut outcomes[..lanes],
-        );
-        // Phase 2: harvest solved lanes — carry the warm seed forward and
-        // read the pair out exactly as the scalar `measure_at` tail does.
-        for l in 0..lanes {
-            if !matches!(outcomes[l], LaneOutcome::Solved(_)) {
-                continue;
-            }
-            let pair = &mut *pairs[l];
-            let x = workspaces[l].solution();
-            if pair.warm.len() != x.len() {
-                pair.warm.resize(x.len(), 0.0);
-            }
-            pair.warm.copy_from_slice(x);
-            pair.has_warm = true;
-            let vbe_a = voltage_of(x, pair.va);
-            let vbe_b = voltage_of(x, pair.vb);
-            readings[l] = Some(pair.structure.reading_from(
-                vbe_a,
-                vbe_b,
-                &pair.qa,
-                &pair.qb,
-                temperatures[l],
-            ));
-        }
-        entered
-    }
 }
 
 fn voltage_of(x: &[f64], node: NodeId) -> Volt {
@@ -542,108 +456,6 @@ mod tests {
         assert_eq!(cold, warm, "polish must erase the seed dependence");
         // And the warm pass must actually have warm-started.
         assert!(ws.stats.warm_starts >= (temps.len() - 1) as u64);
-    }
-
-    #[test]
-    fn batched_measure_matches_scalar_measure_bitwise() {
-        let t_prime = Kelvin::new(278.15);
-        let lane_temps = [248.15, 298.15, 318.15, 348.15].map(Kelvin::new);
-        let mut opts = DcOptions::default();
-        opts.newton.polish = true;
-        let lanes = lane_temps.len();
-        let structure = |l: usize| {
-            PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6 * (1.0 + 0.05 * l as f64)))
-                .with_bias_mismatch(1.0 + 0.002 * l as f64)
-        };
-
-        // Scalar reference: prime (arms the plan and the warm seed), then
-        // a warm-started scalar measure at the lane temperature.
-        let mut ws = SolveWorkspace::new();
-        let reference: Vec<PairReading> = (0..lanes)
-            .map(|l| {
-                let mut p = structure(l).compile().unwrap();
-                p.measure_at(t_prime, &opts, &mut ws, false).unwrap();
-                p.measure_at(lane_temps[l], &opts, &mut ws, true).unwrap()
-            })
-            .collect();
-
-        // Batched run: same prime per lane, then one lockstep measure.
-        let mut pairs: Vec<CompiledPair> = (0..lanes)
-            .map(|l| structure(l).compile().unwrap())
-            .collect();
-        let mut workspaces: Vec<SolveWorkspace> =
-            (0..lanes).map(|_| SolveWorkspace::new()).collect();
-        for (p, w) in pairs.iter_mut().zip(&mut workspaces) {
-            p.measure_at(t_prime, &opts, w, false).unwrap();
-        }
-        let mut pair_refs: Vec<&mut CompiledPair> = pairs.iter_mut().collect();
-        let mut ws_refs: Vec<&mut SolveWorkspace> = workspaces.iter_mut().collect();
-        let mut batch = BatchWorkspace::new();
-        let mut readings = vec![None; lanes];
-        let entered = CompiledPair::measure_lanes(
-            &mut pair_refs,
-            &lane_temps,
-            &opts,
-            &mut ws_refs,
-            &mut batch,
-            &mut readings,
-        );
-        assert_eq!(entered, lanes);
-        for l in 0..lanes {
-            let got = readings[l].expect("lane solved");
-            assert_eq!(got, reference[l], "lane {l} reading diverged");
-            assert_eq!(
-                got.vbe_a.value().to_bits(),
-                reference[l].vbe_a.value().to_bits()
-            );
-            assert_eq!(
-                got.vbe_b.value().to_bits(),
-                reference[l].vbe_b.value().to_bits()
-            );
-        }
-
-        // The carried warm seed must allow an immediate re-batch.
-        let entered = CompiledPair::measure_lanes(
-            &mut pair_refs,
-            &lane_temps,
-            &opts,
-            &mut ws_refs,
-            &mut batch,
-            &mut readings,
-        );
-        assert_eq!(entered, lanes);
-    }
-
-    #[test]
-    fn unprimed_pair_is_left_for_the_scalar_fallback() {
-        let t = Kelvin::new(298.15);
-        let mut opts = DcOptions::default();
-        opts.newton.polish = true;
-        let mut primed = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6))
-            .compile()
-            .unwrap();
-        let mut cold = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(2e-6))
-            .compile()
-            .unwrap();
-        let mut ws_a = SolveWorkspace::new();
-        let mut ws_b = SolveWorkspace::new();
-        primed.measure_at(t, &opts, &mut ws_a, false).unwrap();
-
-        let mut pair_refs = [&mut primed, &mut cold];
-        let mut ws_refs = [&mut ws_a, &mut ws_b];
-        let mut batch = BatchWorkspace::new();
-        let mut readings = [None, None];
-        let entered = CompiledPair::measure_lanes(
-            &mut pair_refs,
-            &[t, t],
-            &opts,
-            &mut ws_refs,
-            &mut batch,
-            &mut readings,
-        );
-        assert_eq!(entered, 1, "only the primed lane is eligible");
-        assert!(readings[0].is_some());
-        assert!(readings[1].is_none(), "cold lane defers to the scalar path");
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! Campaign worker-pool scaling: identical wafer, 1 thread vs N threads,
-//! plus the solver ablations — warm vs cold starts, device bypass on vs
-//! off, frozen sparse plan vs dense LU fallback, lockstep batching vs
-//! the scalar per-die path (`--batch 1`), and the in-tree `vexp` exp
-//! kernel vs libm's `f64::exp` (`libm-exp`).
+//! plus the adaptive corner scheduler.
 //!
-//! The aggregate is asserted bit-identical across thread counts *and*
-//! across every ablation before timing anything, so the speedup measured
-//! here is for *the same answer* — the determinism guarantee is not
-//! traded for throughput.
+//! The aggregate is asserted bit-identical across thread counts before
+//! timing anything, so the speedup measured here is for *the same
+//! answer* — the determinism guarantee is not traded for throughput.
 //!
 //! Besides the criterion-style timing group, the bench reports wafer
 //! throughput (dies/second) per configuration and, when the
@@ -20,40 +16,12 @@ use std::time::Instant;
 use icvbe_bench::harness::Criterion;
 use icvbe_bench::{criterion_group, criterion_main};
 use icvbe_campaign::spec::WaferMap;
-use icvbe_campaign::worker::{run_campaign_with, RunOptions};
 use icvbe_campaign::{run_campaign, CampaignRun, CampaignSpec};
-
-/// The scalar per-die ablation: lockstep batching forced off.
-fn run_unbatched(spec: &CampaignSpec, threads: usize) -> CampaignRun {
-    let options = RunOptions {
-        batch: 1,
-        ..RunOptions::default()
-    };
-    run_campaign_with(spec, threads, &options).expect("unbatched campaign run")
-}
 
 fn scaling_spec() -> CampaignSpec {
     // ~120 dies: big enough to amortize pool startup, small enough for a
     // bench iteration.
     CampaignSpec::paper_default(WaferMap::circular(13), 0xC0FF_EE00)
-}
-
-fn cold_spec() -> CampaignSpec {
-    let mut spec = scaling_spec();
-    spec.warm_start = false;
-    spec
-}
-
-fn no_bypass_spec() -> CampaignSpec {
-    let mut spec = scaling_spec();
-    spec.bypass = false;
-    spec
-}
-
-fn dense_spec() -> CampaignSpec {
-    let mut spec = scaling_spec();
-    spec.sparse = false;
-    spec
 }
 
 /// The adaptive corner scheduler: probe the first corner per die, run
@@ -71,16 +39,6 @@ fn bench_campaign_scaling(c: &mut Criterion) {
     let ids: Vec<String> = [1usize, 2, 4, 8]
         .iter()
         .map(|t| format!("campaign_scaling/threads/{t}"))
-        .chain(
-            [1usize, 8]
-                .iter()
-                .map(|t| format!("campaign_scaling/cold/threads/{t}")),
-        )
-        .chain(
-            [1usize, 8]
-                .iter()
-                .map(|t| format!("campaign_scaling/no-batch/threads/{t}")),
-        )
         .collect();
     // Pay for the determinism guards only when something in the group
     // will actually be timed.
@@ -97,24 +55,11 @@ fn bench_campaign_scaling(c: &mut Criterion) {
             b.iter(|| run_campaign(&spec, threads).expect("campaign run"));
         });
     }
-    for threads in [1usize, 8] {
-        let spec = cold_spec();
-        group.bench_function(&format!("cold/threads/{threads}"), move |b| {
-            b.iter(|| run_campaign(&spec, threads).expect("campaign run"));
-        });
-    }
-    for threads in [1usize, 8] {
-        let spec = spec.clone();
-        group.bench_function(&format!("no-batch/threads/{threads}"), move |b| {
-            b.iter(|| run_unbatched(&spec, threads));
-        });
-    }
     group.finish();
 }
 
-/// Guards run before any timing: the parallel run and the cold-start
-/// ablation must both produce the identical aggregate, so the speedups
-/// measured are for the same answer.
+/// Guards run before any timing: the parallel run must produce the
+/// identical aggregate, so the speedups measured are for the same answer.
 fn run_guards() {
     let spec = scaling_spec();
     let one = run_campaign(&spec, 1).expect("1-thread run");
@@ -122,48 +67,6 @@ fn run_guards() {
     assert_eq!(
         one.aggregate, par.aggregate,
         "aggregate must be thread-count invariant"
-    );
-    let cold = run_campaign(&cold_spec(), 8).expect("cold run");
-    assert_eq!(
-        one.aggregate, cold.aggregate,
-        "aggregate must be warm-start invariant"
-    );
-    let no_bypass = run_campaign(&no_bypass_spec(), 8).expect("no-bypass run");
-    assert_eq!(
-        one.aggregate, no_bypass.aggregate,
-        "aggregate must be device-bypass invariant"
-    );
-    let dense = run_campaign(&dense_spec(), 8).expect("dense-fallback run");
-    assert_eq!(
-        one.aggregate, dense.aggregate,
-        "aggregate must be solve-path invariant"
-    );
-    let unbatched = run_unbatched(&spec, 8);
-    assert_eq!(
-        one.aggregate, unbatched.aggregate,
-        "aggregate must be batching invariant"
-    );
-    // The libm-exp ablation swaps the exp kernel, so its accepted bits
-    // legitimately differ from the vexp default — but it must still be
-    // thread-count *and* batching invariant within itself, and flipping
-    // the backend off again must restore the vexp bits exactly.
-    icvbe_numerics::vexp::set_libm_backend(true);
-    let libm_one = run_campaign(&spec, 1).expect("libm 1-thread run");
-    let libm_par = run_campaign(&spec, 8).expect("libm 8-thread run");
-    let libm_unbatched = run_unbatched(&spec, 8);
-    icvbe_numerics::vexp::set_libm_backend(false);
-    assert_eq!(
-        libm_one.aggregate, libm_par.aggregate,
-        "libm-exp ablation must stay thread-count invariant"
-    );
-    assert_eq!(
-        libm_one.aggregate, libm_unbatched.aggregate,
-        "libm-exp ablation must stay batching invariant"
-    );
-    let restored = run_campaign(&spec, 1).expect("post-ablation run");
-    assert_eq!(
-        one.aggregate, restored.aggregate,
-        "switching the exp backend back must restore the vexp bits"
     );
     // Adaptive skips trailing corners, so the full aggregates differ by
     // design — but the probe corner it *does* run must be bit-identical
@@ -178,10 +81,6 @@ fn run_guards() {
         adaptive.metrics.solver.solves < one.metrics.solver.solves,
         "adaptive must reduce corner work on a clean wafer"
     );
-    assert!(
-        one.metrics.batching.batched_solves > 0 && unbatched.metrics.batching.batched_solves == 0,
-        "default run must batch, --batch 1 must not"
-    );
 }
 
 /// One throughput measurement: median wall time over `reps` runs.
@@ -192,16 +91,12 @@ struct Throughput {
     dies_per_second: f64,
 }
 
-fn measure(spec: &CampaignSpec, threads: usize, batch: usize, reps: usize) -> (f64, CampaignRun) {
-    let options = RunOptions {
-        batch,
-        ..RunOptions::default()
-    };
+fn measure(spec: &CampaignSpec, threads: usize, reps: usize) -> (f64, CampaignRun) {
     let mut last = None;
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
-            let run = run_campaign_with(spec, threads, &options).expect("campaign run");
+            let run = run_campaign(spec, threads).expect("campaign run");
             let ms = t.elapsed().as_secs_f64() * 1e3;
             last = Some(run);
             ms
@@ -220,9 +115,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
         return;
     }
     let warm = scaling_spec();
-    let cold = cold_spec();
-    let no_bypass = no_bypass_spec();
-    let dense = dense_spec();
     let adaptive = adaptive_spec();
     let dies = warm.wafer.die_count();
     let reps = 7;
@@ -230,31 +122,20 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     run_campaign(&warm, 8).expect("warm-up run");
 
     let mut rows = Vec::new();
-    let modes = [
-        ("warm", &warm, 0usize, false),
-        ("no-batch", &warm, 1, false),
-        ("libm-exp", &warm, 0, true),
-        ("no-bypass", &no_bypass, 0, false),
-        ("dense", &dense, 0, false),
-        ("cold", &cold, 0, false),
-        ("adaptive", &adaptive, 0, false),
-    ];
+    let modes = [("warm", &warm), ("adaptive", &adaptive)];
     let mut solves_by_mode: Vec<(&str, u64)> = Vec::new();
-    for (mode, spec, batch, libm) in modes {
-        icvbe_numerics::vexp::set_libm_backend(libm);
+    for (mode, spec) in modes {
         for threads in [1usize, 8] {
-            let (median_ms, run) = measure(spec, threads, batch, reps);
+            let (median_ms, run) = measure(spec, threads, reps);
             let dies_per_second = dies as f64 / (median_ms / 1e3);
             println!(
                 "campaign_throughput/{mode}/threads/{threads:<2} median {median_ms:7.2} ms -> \
                  {dies_per_second:7.1} dies/s ({dies} dies, {} solves, {} Newton iters, \
-                 {} bypasses, {} evals, {:.0}% lane-kernel, {:.1} lanes/round)",
+                 {} bypasses, {} evals)",
                 run.metrics.solver.solves,
                 run.metrics.solver.newton_iterations,
                 run.metrics.solver.bypass_hits,
                 run.metrics.solver.device_evals,
-                run.metrics.solver.lane_eval_share() * 100.0,
-                run.metrics.batching.mean_lanes_active(),
             );
             rows.push(Throughput {
                 mode,
@@ -267,7 +148,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
             }
         }
     }
-    icvbe_numerics::vexp::set_libm_backend(false);
 
     let solves = |mode: &str| {
         solves_by_mode

@@ -38,14 +38,10 @@
 use icvbe_core::meijer::extract;
 use icvbe_core::nonlinear::Eq13PointModel;
 use icvbe_core::tempcomp::{temperature_from_dvbe_corrected, PairCurrents};
-use icvbe_instrument::bench::{
-    run_pair_campaign_batch, BatchSweepStats, BenchError, BenchLane, BenchScratch,
-    PairCampaignPoint, SolveMode, TestStructureBench,
-};
+use icvbe_instrument::bench::{BenchScratch, PairCampaignPoint, SolveMode, TestStructureBench};
 use icvbe_instrument::faults::FaultPlan;
 use icvbe_instrument::montecarlo::{DieSample, SampleFactory};
 use icvbe_numerics::robust::{fit_robust_traced, RobustLoss, RobustOptions, RobustWorkspace};
-use icvbe_spice::batch::BatchWorkspace;
 use icvbe_trace::{SpanKind, TraceBuf, TraceEvent};
 use icvbe_units::{Celsius, Kelvin};
 
@@ -106,10 +102,8 @@ pub struct CornerOutcome {
 /// The iteration budget counts damped Newton iterations consumed by the
 /// die so far; once exceeded, the die's **remaining** corners are retired
 /// as [`FailureKind::BudgetExhausted`] without running. Iteration counts
-/// are deterministic per `(spec, die)` on the scalar path, so the verdict
-/// is byte-reproducible at any thread count — the worker forces the
-/// scalar path whenever a budget is active, because the batched driver's
-/// solver-effort counters legitimately differ from scalar's.
+/// are deterministic per `(spec, die)`, so the verdict is
+/// byte-reproducible at any thread count.
 ///
 /// The wall-clock budget is a *nondeterministic* operational escape hatch
 /// for production daemons (a hung die cannot stall a tenant forever); it
@@ -121,14 +115,6 @@ pub struct DieBudget {
     pub max_newton_iterations: u64,
     /// Maximum wall-clock milliseconds per die (0 = unlimited).
     pub max_wall_ms: u64,
-}
-
-impl DieBudget {
-    /// Whether enforcement is disabled (both limits zero).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        *self == DieBudget::default()
-    }
 }
 
 /// Adaptive escalation threshold on the probe corner's RMS fit residual,
@@ -649,11 +635,7 @@ fn run_corner(
         setpoints,
         &mut scratch.bench,
         &mut scratch.pristine,
-        SolveMode {
-            warm_start: spec.warm_start,
-            bypass: spec.bypass,
-            sparse: spec.sparse,
-        },
+        SolveMode,
     );
     scratch.bench.solve.trace.stage_end(measure);
     if measured.is_err() {
@@ -781,185 +763,6 @@ pub fn contained_panic_outcome(spec: &CampaignSpec, site: DieSite) -> DieOutcome
     }
 }
 
-/// Per-worker scratch of the batched die pipeline: one [`DieScratch`]
-/// per lane plus the shared lane-strided solver workspace and the
-/// lane-utilization accumulator.
-///
-/// Like [`DieScratch`], nothing in here affects results:
-/// [`run_dies_batch`] is bitwise identical to running each die through
-/// [`run_die_with`] with the corresponding lane's scratch.
-#[derive(Debug, Default)]
-pub struct BatchDieScratch {
-    /// One solver scratch per lane; the worker pool installs symbolic
-    /// caches and enables tracing on each before the first group.
-    pub lanes: Vec<DieScratch>,
-    /// Lane-strided factorization/state buffers of the batched driver.
-    batch: BatchWorkspace,
-    /// Lane-utilization stats accumulated since the last [`take_sweep`].
-    ///
-    /// [`take_sweep`]: BatchDieScratch::take_sweep
-    sweep: BatchSweepStats,
-    /// Per-lane sweep errors, reused across corners.
-    errors: Vec<Option<BenchError>>,
-}
-
-impl BatchDieScratch {
-    /// A scratch with `lanes` empty per-lane slots.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        BatchDieScratch {
-            lanes: (0..lanes).map(|_| DieScratch::new()).collect(),
-            ..BatchDieScratch::default()
-        }
-    }
-
-    /// Drains the accumulated lane-utilization stats.
-    pub fn take_sweep(&mut self) -> BatchSweepStats {
-        std::mem::take(&mut self.sweep)
-    }
-}
-
-/// Runs up to `scratch.lanes.len()` dies in lockstep through the batched
-/// solve pipeline, appending one [`DieOutcome`] per site (in site order)
-/// to `out`.
-///
-/// Bitwise identical to running each site through [`run_die_with`]: the
-/// batched sweep replays the scalar sweep's arithmetic per lane, retired
-/// or unprimed lanes redo the affected solve on the scalar path against
-/// device caches the batched attempt only ever warmed with exact bits,
-/// and the per-lane recovery/extract stages are the scalar ones. Only
-/// solver-effort counters and span counts differ.
-///
-/// # Panics
-///
-/// If `sites` exceeds the scratch's lane count, or if the spec enables
-/// adaptive corner scheduling — the lockstep driver iterates corners in
-/// the outer loop across all lanes, which cannot express a per-die skip
-/// decision taken after the probe corner; the worker pool forces the
-/// scalar path for adaptive specs.
-pub fn run_dies_batch(
-    spec: &CampaignSpec,
-    sites: &[DieSite],
-    setpoints: &[Celsius],
-    scratch: &mut BatchDieScratch,
-    out: &mut Vec<DieOutcome>,
-) {
-    let n = sites.len();
-    assert!(
-        n <= scratch.lanes.len(),
-        "{n} sites for {} lanes",
-        scratch.lanes.len()
-    );
-    assert!(
-        !spec.adaptive,
-        "adaptive corner scheduling requires the scalar die path"
-    );
-
-    // Per-lane sample stage, exactly as `run_die_with`.
-    let mut samples: Vec<DieSample> = Vec::with_capacity(n);
-    for (ds, site) in scratch.lanes[..n].iter_mut().zip(sites) {
-        ds.bench.solve.trace.begin_die(site.index as u32);
-        let sample_stage = ds.bench.solve.trace.stage(SpanKind::Sample);
-        let process_seed = stream_seed(spec.seed, site.index as u64, Stream::Process);
-        samples.push(
-            SampleFactory::seeded(process_seed)
-                .with_spec(spec.variation)
-                .draw(site.index + 1),
-        );
-        ds.bench.solve.trace.stage_end(sample_stage);
-    }
-
-    let mut corners: Vec<Vec<CornerOutcome>> = (0..n)
-        .map(|_| Vec::with_capacity(spec.corners.len()))
-        .collect();
-    for k in 0..spec.corners.len() {
-        let mut benches: Vec<TestStructureBench> = sites
-            .iter()
-            .map(|site| {
-                let bench_seed = stream_seed(spec.seed, site.index as u64, Stream::Bench(k as u32));
-                make_bench(spec.bench, bench_seed)
-            })
-            .collect();
-        let mut corner_spans = Vec::with_capacity(n);
-        let mut measure_stages = Vec::with_capacity(n);
-        for ds in scratch.lanes[..n].iter_mut() {
-            ds.bench.solve.trace.set_corner(k as i32);
-            corner_spans.push(ds.bench.solve.trace.span(SpanKind::Corner));
-            measure_stages.push(ds.bench.solve.trace.stage(SpanKind::Measure));
-        }
-
-        scratch.errors.clear();
-        scratch.errors.resize_with(n, || None);
-        {
-            let mut lane_views: Vec<BenchLane<'_>> = Vec::with_capacity(n);
-            for ((ds, bench), sample) in scratch.lanes[..n]
-                .iter_mut()
-                .zip(benches.iter_mut())
-                .zip(samples.iter())
-            {
-                let DieScratch {
-                    bench: lane_scratch,
-                    pristine,
-                    ..
-                } = ds;
-                lane_views.push(BenchLane {
-                    bench,
-                    sample,
-                    scratch: lane_scratch,
-                    out: pristine,
-                });
-            }
-            run_pair_campaign_batch(
-                &mut lane_views,
-                spec.corners[k].ic,
-                setpoints,
-                SolveMode {
-                    warm_start: spec.warm_start,
-                    bypass: spec.bypass,
-                    sparse: spec.sparse,
-                },
-                &mut scratch.batch,
-                &mut scratch.sweep,
-                &mut scratch.errors,
-            );
-        }
-
-        for (l, (site, ds)) in sites.iter().zip(scratch.lanes[..n].iter_mut()).enumerate() {
-            ds.bench.solve.trace.stage_end(measure_stages[l]);
-            if scratch.errors[l].is_some() {
-                ds.bench.solve.trace.span_end(corner_spans[l]);
-                ds.bench.solve.trace.set_corner(-1);
-                // Same verdict as the scalar path: the circuit never
-                // converged; there is nothing to corrupt or retry.
-                corners[l].push(CornerOutcome::quarantined(FailureKind::NonConvergence, 1));
-                continue;
-            }
-            let extract_stage = ds.bench.solve.trace.stage(SpanKind::Extract);
-            let outcome = corner_recovery(spec, *site, k, ds);
-            ds.bench.solve.trace.stage_end(extract_stage);
-            ds.bench.solve.trace.span_end(corner_spans[l]);
-            ds.bench.solve.trace.set_corner(-1);
-            corners[l].push(outcome);
-        }
-    }
-
-    for ((ds, site), lane_corners) in scratch.lanes[..n].iter_mut().zip(sites).zip(corners) {
-        let (stage_ns, spans) = ds.bench.solve.trace.end_die();
-        out.push(DieOutcome {
-            index: site.index,
-            row: site.row,
-            col: site.col,
-            corners: lane_corners,
-            timing: DieTiming {
-                sample_ns: stage_ns[0],
-                measure_ns: stage_ns[1],
-                extract_ns: stage_ns[2],
-            },
-            spans,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,18 +819,6 @@ mod tests {
             "hot err {}",
             v.t_hot_err_k
         );
-    }
-
-    #[test]
-    fn warm_and_cold_dies_are_bit_identical() {
-        let spec = small_spec();
-        let mut cold_spec = spec.clone();
-        cold_spec.warm_start = false;
-        for site in spec.wafer.sites() {
-            let warm = run_die(&spec, site);
-            let cold = run_die(&cold_spec, site);
-            assert_eq!(warm.corners, cold.corners, "die {}", site.index);
-        }
     }
 
     #[test]
@@ -1155,52 +946,6 @@ mod tests {
             }
         }
         assert!(recovered > 0, "no corner recovered via retry");
-    }
-
-    #[test]
-    fn batched_dies_match_scalar_dies_bitwise() {
-        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 77);
-        spec.corners.truncate(2);
-        let setpoints = spec.plan.setpoints();
-        let sites = spec.wafer.sites();
-        for lanes in [1usize, 2, 4] {
-            let mut scratch = BatchDieScratch::new(lanes);
-            let mut batched = Vec::new();
-            for group in sites.chunks(lanes) {
-                run_dies_batch(&spec, group, &setpoints, &mut scratch, &mut batched);
-            }
-            assert_eq!(batched.len(), sites.len());
-            for (out, site) in batched.iter().zip(&sites) {
-                let scalar = run_die(&spec, *site);
-                assert_eq!(out.index, scalar.index);
-                assert_eq!(
-                    out.corners, scalar.corners,
-                    "lanes={lanes} die {}",
-                    site.index
-                );
-            }
-            let sweep = scratch.take_sweep();
-            if lanes > 1 {
-                assert!(sweep.rounds > 0, "no lockstep rounds at lanes={lanes}");
-                assert!(sweep.lanes_active[lanes] > 0, "never fully packed");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_dies_match_scalar_dies_under_fault_injection() {
-        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 77);
-        spec.corners.truncate(1);
-        spec.faults = FaultSpec::heavy();
-        let setpoints = spec.plan.setpoints();
-        let sites = spec.wafer.sites();
-        let mut scratch = BatchDieScratch::new(4);
-        let mut batched = Vec::new();
-        run_dies_batch(&spec, &sites, &setpoints, &mut scratch, &mut batched);
-        for (out, site) in batched.iter().zip(&sites) {
-            let scalar = run_die(&spec, *site);
-            assert_eq!(out.corners, scalar.corners, "die {}", site.index);
-        }
     }
 
     #[test]

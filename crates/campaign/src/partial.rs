@@ -34,11 +34,10 @@ use crate::json::{parse, Json};
 use crate::metrics::{CampaignCounters, LogHistogram, BUCKETS};
 use crate::taxonomy::FailureKind;
 use crate::CampaignError;
-use icvbe_spice::batch::MAX_LANES;
 use std::sync::atomic::Ordering;
 
 /// Schema tag carried by every partial-aggregate document.
-pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v1";
+pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v2";
 
 /// One shard's complete output: fold state, counters and slice binding.
 #[derive(Debug)]
@@ -167,20 +166,14 @@ fn counters_json(c: &CampaignCounters) -> String {
         .iter()
         .map(|v| v.load(Ordering::Relaxed))
         .collect();
-    let lanes: Vec<u64> = c
-        .lanes_active
-        .iter()
-        .map(|v| v.load(Ordering::Relaxed))
-        .collect();
     format!(
         concat!(
             "{{{scalars},\"recovered_by_kind\":{by_kind},",
-            "\"lanes_active\":{lanes},\"stages\":[{stages}],",
+            "\"stages\":[{stages}],",
             "\"newton_per_die\":{npd},\"selfheat_per_die\":{spd}}}"
         ),
         scalars = scalars.join(","),
         by_kind = u64_list_json(&by_kind),
-        lanes = u64_list_json(&lanes),
         stages = stages.join(","),
         npd = hist_json(&c.newton_per_die),
         spd = hist_json(&c.selfheat_per_die),
@@ -194,10 +187,6 @@ fn counters_from(v: &Json) -> Result<CampaignCounters, CampaignError> {
     }
     let by_kind = u64_list_from::<{ FailureKind::COUNT }>(v, "recovered_by_kind")?;
     for (slot, n) in c.recovered_by_kind.iter().zip(by_kind) {
-        slot.store(n, Ordering::Relaxed);
-    }
-    let lanes = u64_list_from::<{ MAX_LANES + 1 }>(v, "lanes_active")?;
-    for (slot, n) in c.lanes_active.iter().zip(lanes) {
         slot.store(n, Ordering::Relaxed);
     }
     let stages = want(v, "stages")?
@@ -334,6 +323,9 @@ mod tests {
         spec.corners.truncate(1);
         let text = partial_to_json(&shard_partial(&spec, 0, 4));
         assert!(partial_from_json(&text.replace(PARTIAL_SCHEMA, "x")).is_err());
+        // A document of the previous schema version is refused.
+        let v1 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v1");
+        assert!(partial_from_json(&v1).is_err());
         // A flipped content byte trips the checksum.
         let mut flipped = text.clone().into_bytes();
         let at = text.find("\"start_die\"").unwrap() + 2;

@@ -391,16 +391,11 @@ pub fn metrics_json(run: &CampaignRun) -> String {
              \"newton_per_solve\":{npsolve},\"selfheat_iterations\":{selfheat},\
              \"warm_start_hits\":{hits},\"warm_start_misses\":{misses},\
              \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
-             \"lane_evals\":{laneevals},\"lane_eval_share\":{laneshare},\
              \"device_reuses\":{devreuses},\"bypass_hits\":{byphits},\
              \"bypass_hit_rate\":{byprate},\
              \"restamp_incremental\":{rsincr},\"restamp_full\":{rsfull},\
              \"restamp_savings\":{rssave},\"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
-            "  \"batching\":{{\"batched_solves\":{bsolves},\
-             \"lane_retires\":{bretires},\"batch_refills\":{brefills},\
-             \"lockstep_rounds\":{brounds},\"mean_lanes_active\":{bmean},\
-             \"lanes_active\":[{blanes}]}},\n",
             "  \"recovery\":{{\"corners_retried\":{retried},\
              \"corners_recovered\":{recovered},\"robust_recoveries\":{robust},\
              \"corners_quarantined\":{quarantined},\
@@ -427,8 +422,6 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         misses = m.solver.warm_start_misses,
         hitrate = num(m.solver.warm_hit_rate()),
         devevals = m.solver.device_evals,
-        laneevals = m.solver.lane_evals,
-        laneshare = num(m.solver.lane_eval_share()),
         devreuses = m.solver.device_reuses,
         byphits = m.solver.bypass_hits,
         byprate = num(m.solver.bypass_hit_rate()),
@@ -437,18 +430,6 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         rssave = num(m.solver.restamp_savings()),
         np50 = m.solver.newton_per_die_p50,
         np99 = m.solver.newton_per_die_p99,
-        bsolves = m.batching.batched_solves,
-        bretires = m.batching.lane_retires,
-        brefills = m.batching.batch_refills,
-        brounds = m.batching.lockstep_rounds,
-        bmean = num(m.batching.mean_lanes_active()),
-        blanes = m
-            .batching
-            .lanes_active
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
         retried = m.recovery.corners_retried,
         recovered = m.recovery.corners_recovered,
         robust = m.recovery.robust_recoveries,
@@ -545,8 +526,7 @@ mod tests {
         assert!(j.contains("\"stage\":\"measure\""));
         assert!(j.contains("\"stage\":\"extract\""));
         assert!(j.contains("\"dies_completed\":4"));
-        assert!(j.contains("\"batching\":{\"batched_solves\":"));
-        assert!(j.contains("\"lanes_active\":["));
+        assert!(j.contains("\"solver\":{\"solves\":"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }

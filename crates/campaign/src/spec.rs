@@ -220,25 +220,6 @@ pub struct CampaignSpec {
     pub seed: u64,
     /// Bench profile.
     pub bench: BenchProfile,
-    /// Seed each circuit solve from the previous converged solution
-    /// (across self-heating iterations and setpoints within one
-    /// die/corner). Newton polishing makes the measured values
-    /// bit-identical either way — only iteration counts change — so this
-    /// field is deliberately **not** part of the aggregate artifacts and
-    /// warm/cold aggregates compare equal.
-    pub warm_start: bool,
-    /// Skip device re-evaluation inside Newton when controlling voltages
-    /// barely moved (SPICE-style bypass). Accepted solutions are
-    /// re-verified with the bypass suspended, so — like `warm_start` —
-    /// this is a pure speed knob, deliberately **not** part of the
-    /// aggregate artifacts; bypassed and bypass-free aggregates compare
-    /// byte-identical.
-    pub bypass: bool,
-    /// Factor circuit Jacobians through the frozen symbolic sparsity plan
-    /// instead of dense LU. Bitwise-identical results either way — kept
-    /// as a switch for ablation benchmarks, not part of the aggregate
-    /// artifacts.
-    pub sparse: bool,
     /// Deterministic measurement-fault injection. The all-zero spec
     /// ([`FaultSpec::none`]) is a strict no-op: the per-corner pipeline
     /// runs exactly one attempt and never touches the fault streams, so a
@@ -259,8 +240,8 @@ pub struct CampaignSpec {
     /// die (fit residual, retries, robust recovery, out-of-window bin or
     /// quarantine). Skipped corners land in the `skipped` yield bin with
     /// no values. **Changes the aggregate artifacts** (skipped corners
-    /// contribute no statistics), so — unlike the pure speed knobs — it
-    /// IS part of the wire spec and the fingerprint when enabled.
+    /// contribute no statistics), so it is part of the wire spec and the
+    /// fingerprint when enabled.
     pub adaptive: bool,
 }
 
@@ -282,9 +263,6 @@ impl CampaignSpec {
             window: SpecWindow::st_bicmos_default(),
             seed,
             bench: BenchProfile::Paper,
-            warm_start: true,
-            bypass: true,
-            sparse: true,
             faults: FaultSpec::none(),
             retry_budget: 3,
             robust: true,

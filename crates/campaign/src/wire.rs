@@ -10,6 +10,16 @@
 //! of the document. The campaign seed travels as a **string**: it is a
 //! full-width `u64`, and JSON numbers (`f64` on this parser) lose exact
 //! integers above 2⁵³.
+//!
+//! # Retired solver switches
+//!
+//! Specs once carried three solver speed switches: `warm_start`,
+//! `bypass` and `sparse`. The solver now always runs warm-started,
+//! bypass-gated and sparse, and the switches are gone. The encoder still
+//! writes each key as the constant `true`, so every spec keeps the
+//! canonical bytes, and therefore the fingerprint, it had before; existing
+//! checkpoints still resume. The decoder requires each key and answers
+//! `false` with a typed error that names it.
 
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_instrument::montecarlo::VariationSpec;
@@ -21,6 +31,10 @@ use crate::CampaignError;
 
 /// Schema tag carried by every encoded spec.
 pub const SPEC_SCHEMA: &str = "icvbe-campaign-spec-v1";
+
+/// Keys of the retired solver switches, always encoded as `true` (see the
+/// module docs).
+const RETIRED_SWITCHES: [&str; 3] = ["warm_start", "bypass", "sparse"];
 
 fn num(x: f64) -> String {
     format!("{x}")
@@ -56,7 +70,7 @@ pub fn spec_to_json(spec: &CampaignSpec) -> String {
             "\"window\":{{\"eg_min\":{egl},\"eg_max\":{egh},",
             "\"xti_min\":{xtl},\"xti_max\":{xth}}},",
             "\"seed\":\"{seed}\",\"bench\":\"{bench}\",",
-            "\"warm_start\":{warm},\"bypass\":{bypass},\"sparse\":{sparse},",
+            "\"warm_start\":true,\"bypass\":true,\"sparse\":true,",
             "\"faults\":{{\"noise_probability\":{fnp},\"noise_sigma_volts\":{fns},",
             "\"stuck_probability\":{fsp},\"drop_probability\":{fdp},",
             "\"drift_sigma_volts\":{fds},\"nan_probability\":{fnn}}},",
@@ -87,9 +101,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> String {
             BenchProfile::Paper => "paper",
             BenchProfile::Ideal => "ideal",
         },
-        warm = spec.warm_start,
-        bypass = spec.bypass,
-        sparse = spec.sparse,
         fnp = num(f.noise_probability),
         fns = num(f.noise_sigma_volts),
         fsp = num(f.stuck_probability),
@@ -241,6 +252,14 @@ pub fn spec_from_value(v: &Json) -> Result<CampaignSpec, CampaignError> {
         nan_probability: want_f64(faults_v, "nan_probability")?,
     };
 
+    for key in RETIRED_SWITCHES {
+        if !want_bool(v, key)? {
+            return Err(CampaignError::invalid(format!(
+                "spec wire: {key:?} is a retired solver switch and must be true"
+            )));
+        }
+    }
+
     let retry_budget = u32::try_from(want_usize(v, "retry_budget")?)
         .map_err(|_| CampaignError::invalid("spec wire: retry_budget out of range"))?;
 
@@ -252,9 +271,6 @@ pub fn spec_from_value(v: &Json) -> Result<CampaignSpec, CampaignError> {
         window,
         seed,
         bench,
-        warm_start: want_bool(v, "warm_start")?,
-        bypass: want_bool(v, "bypass")?,
-        sparse: want_bool(v, "sparse")?,
         faults,
         retry_budget,
         robust: want_bool(v, "robust")?,
@@ -288,7 +304,6 @@ mod tests {
         s.corners[0].name = "weird \"name\"\n".to_string();
         s.corners[1].ic = Ampere::new(1.234_567_890_123e-6);
         s.bench = BenchProfile::Ideal;
-        s.warm_start = false;
         s.faults = FaultSpec::light();
         s.retry_budget = 7;
         s.robust = false;
@@ -335,6 +350,33 @@ mod tests {
         assert!(text.contains("\"adaptive\":true"));
         assert_eq!(spec_from_json(&text).unwrap(), s);
         assert_ne!(spec_fingerprint(&s), spec_fingerprint(&base));
+    }
+
+    #[test]
+    fn default_spec_keeps_its_canonical_bytes_and_fingerprint() {
+        // Checkpoints bind to this fingerprint; it must not move when the
+        // spec's in-memory shape changes.
+        let s = CampaignSpec::paper_default(WaferMap::circular(14), 2002);
+        assert!(spec_to_json(&s).contains("\"warm_start\":true,\"bypass\":true,\"sparse\":true,"));
+        assert_eq!(spec_fingerprint(&s), 0x8370_f138_0616_3737);
+    }
+
+    #[test]
+    fn retired_switch_set_false_is_a_typed_error_naming_the_key() {
+        let good = spec_to_json(&CampaignSpec::paper_default(WaferMap::full(2, 2), 1));
+        for key in RETIRED_SWITCHES {
+            let on = format!("\"{key}\":true");
+            let off = format!("\"{key}\":false");
+            match spec_from_json(&good.replace(&on, &off)) {
+                Err(CampaignError::InvalidSpec(msg)) => {
+                    assert!(msg.contains(key), "{key}: {msg}");
+                }
+                other => panic!("{key}=false decoded as {other:?}"),
+            }
+            // Missing or ill-typed is an error too, never a panic.
+            assert!(spec_from_json(&good.replace(&on, &format!("\"{key}\":1"))).is_err());
+            assert!(spec_from_json(&good.replace(&format!("{on},"), "")).is_err());
+        }
     }
 
     #[test]

@@ -24,15 +24,11 @@ use std::time::Instant;
 
 use icvbe_instrument::bench::BenchScratch;
 use icvbe_instrument::chaos::{ChaosPlan, ChaosSpec};
-use icvbe_spice::batch::MAX_LANES;
 use icvbe_spice::cache::SymbolicCache;
 use icvbe_trace::{SpanKind, SpanPhase, Trace, TraceEvent, NO_DIE};
 
 use crate::aggregate::{CampaignAggregate, YieldBin};
-use crate::die::{
-    contained_panic_outcome, run_die_with, run_dies_batch, BatchDieScratch, DieBudget, DieOutcome,
-    DieScratch,
-};
+use crate::die::{contained_panic_outcome, run_die_with, DieBudget, DieOutcome, DieScratch};
 use crate::metrics::{
     CampaignCounters, CampaignMetrics, STAGE_EXTRACT, STAGE_MEASURE, STAGE_SAMPLE,
 };
@@ -41,18 +37,8 @@ use crate::taxonomy::FailureKind;
 use crate::CampaignError;
 
 /// Dies claimed per cursor bump. Small enough to balance a straggling
-/// thread, large enough that the atomic is off the hot path — and wide
-/// enough that an auto-selected die group fills every lane the batched
-/// solver offers ([`icvbe_spice::batch::MAX_LANES`]).
+/// thread, large enough that the atomic is off the hot path.
 const CHUNK: usize = 16;
-
-/// Lanes per die group when `batch = 0` asks for auto selection. A full
-/// claim chunk: every group is claim-aligned, so a one-shot run groups
-/// its dies identically at any thread count. Wider groups amortize the
-/// lockstep round overhead (masked factor, lane scatter, prewarm
-/// bookkeeping) over more dies per round, and the lane-array exponential
-/// kernel fills wider SIMD vectors.
-const AUTO_BATCH: usize = 16;
 
 /// A finished campaign: the deterministic aggregate plus the run's
 /// (non-deterministic) observability snapshot.
@@ -78,13 +64,6 @@ pub struct RunOptions {
     /// is a no-op sink — no events, no extra clock reads, no allocations
     /// on the die hot path.
     pub trace: bool,
-    /// Lanes per die group on the batched solve path: `0` (the default)
-    /// selects automatically, `1` forces the scalar per-die path
-    /// (ablation), larger values are clamped to the claim chunk and the
-    /// solver's lane cap. Batching engages only when the spec leaves warm
-    /// starts and the sparse path on; accepted results are bit-identical
-    /// to the scalar path at every setting.
-    pub batch: usize,
     /// Environment-fault injection (the chaos layer). The worker consults
     /// only the die-panic knob; write/socket faults act at the service
     /// layer. The default ([`ChaosSpec::none`]) is a structural no-op:
@@ -94,8 +73,7 @@ pub struct RunOptions {
     /// `(chaos, chaos_seed, die index)` — thread-count independent.
     pub chaos_seed: u64,
     /// Per-die solve containment budget (see [`DieBudget`]). Zero fields
-    /// (the default) disable enforcement. An armed budget forces the
-    /// scalar per-die path so the iteration verdict stays deterministic.
+    /// (the default) disable enforcement.
     pub budget: DieBudget,
 }
 
@@ -129,9 +107,6 @@ pub struct StreamOptions {
     /// External counters to accumulate into instead of run-private ones —
     /// a service accumulates one job's counters across its slices.
     pub counters: Option<Arc<CampaignCounters>>,
-    /// Lanes per die group on the batched solve path (see
-    /// [`RunOptions::batch`]).
-    pub batch: usize,
     /// Environment-fault injection (see [`RunOptions::chaos`]).
     pub chaos: ChaosSpec,
     /// Seed of the chaos plan (see [`RunOptions::chaos_seed`]).
@@ -159,9 +134,8 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignRun, 
     run_campaign_with(spec, threads, &RunOptions::default())
 }
 
-/// Per-die counter fold shared by the scalar and batched worker paths:
-/// drains the lane's solver counters and records stage timings, completion
-/// and recovery bookkeeping.
+/// Per-die counter fold: drains the worker's solver counters and records
+/// stage timings, completion and recovery bookkeeping.
 fn account_die(counters: &CampaignCounters, bench: &mut BenchScratch, out: &DieOutcome) {
     let (stats, selfheat) = bench.take_counters();
     counters.record_die_solver(&stats, selfheat);
@@ -235,7 +209,6 @@ pub fn run_campaign_with(
 ) -> Result<CampaignRun, CampaignError> {
     let stream = StreamOptions {
         trace: options.trace,
-        batch: options.batch,
         chaos: options.chaos,
         chaos_seed: options.chaos_seed,
         budget: options.budget,
@@ -315,42 +288,17 @@ where
     // Containment state. A chaos plan is built only when the die-panic
     // knob is armed — write/socket faults act at the service layer, not
     // here — and panic verdicts are keyed by die index, so they are
-    // thread-count independent. Either form of containment forces the
-    // scalar per-die path: the batched driver's solver-effort counters
-    // legitimately differ from scalar's, which would make an iteration
-    // budget's verdict depend on lane packing.
+    // thread-count independent.
     let budget = options.budget;
     let chaos_plan = (options.chaos.die_panic_probability > 0.0)
         .then(|| ChaosPlan::new(options.chaos, options.chaos_seed));
-    let contained = !budget.is_unlimited() || chaos_plan.is_some();
-    // Lanes per die group. Batching needs warm seeds and a frozen sparse
-    // plan to carry a lane, so a spec disabling either falls back to the
-    // scalar per-die path — as does adaptive corner scheduling, whose
-    // per-die skip decision the corner-outer lockstep driver cannot
-    // express. Groups never straddle a claim, so a one-shot run's
-    // grouping is identical at any thread count. A short bounded range
-    // packs its lanes by thread count, which is bit-inert: the batched
-    // path accepts exactly the scalar path's bits at any lane count.
-    let batch_lanes = {
-        let requested = if options.batch == 0 {
-            AUTO_BATCH
-        } else {
-            options.batch
-        };
-        if spec.warm_start && spec.sparse && !contained && !spec.adaptive {
-            requested.min(claim).min(MAX_LANES)
-        } else {
-            1
-        }
-    };
     let dropped = AtomicU64::new(0);
     // Run-shared symbolic-LU cache, created here when the caller did not
     // install a cross-campaign one. Every die of a topology then holds
-    // the *same* plan `Arc`, so batch-lane eligibility and per-lane plan
-    // install are pointer compares instead of structural ones. Cached
-    // plans are bit-identical to private analysis (see
-    // `shared_symbolic_cache_does_not_perturb_results`), so the default
-    // share never perturbs results.
+    // the *same* plan `Arc`, so plan install is a pointer compare instead
+    // of a structural one. Cached plans are bit-identical to private
+    // analysis (see `shared_symbolic_cache_does_not_perturb_results`), so
+    // the default share never perturbs results.
     let symbolic_cache = options
         .symbolic_cache
         .clone()
@@ -388,46 +336,6 @@ where
             let symbolic_cache = Some(Arc::clone(&symbolic_cache));
             let dropped = &dropped;
             scope.spawn(move || {
-                if batch_lanes > 1 {
-                    // One batched scratch per worker: a DieScratch per
-                    // lane plus the shared lane-strided solver buffers.
-                    let mut scratch = BatchDieScratch::new(batch_lanes);
-                    for ds in &mut scratch.lanes {
-                        ds.bench.symbolic_cache = symbolic_cache.clone();
-                        if tracing {
-                            ds.bench.solve.trace.enable(started, worker as u32);
-                        }
-                    }
-                    let mut group_out: Vec<DieOutcome> = Vec::with_capacity(batch_lanes);
-                    'claim_batched: loop {
-                        let base = cursor.fetch_add(claim, Ordering::Relaxed);
-                        if base >= end {
-                            break;
-                        }
-                        let stop = (base + claim).min(end);
-                        for group in sites[base..stop].chunks(batch_lanes) {
-                            counters
-                                .started
-                                .fetch_add(group.len() as u64, Ordering::Relaxed);
-                            group_out.clear();
-                            run_dies_batch(spec, group, setpoints, &mut scratch, &mut group_out);
-                            counters.record_batch_sweep(&scratch.take_sweep(), 1);
-                            for (lane, out) in group_out.drain(..).enumerate() {
-                                account_die(counters, &mut scratch.lanes[lane].bench, &out);
-                                if tx.send(out).is_err() {
-                                    break 'claim_batched; // receiver gone
-                                }
-                            }
-                        }
-                    }
-                    let lost: u64 = scratch
-                        .lanes
-                        .iter()
-                        .map(|ds| ds.bench.solve.trace.dropped())
-                        .sum();
-                    dropped.fetch_add(lost, Ordering::Relaxed);
-                    return;
-                }
                 // One scratch per worker thread: solver buffers reach a
                 // steady state after the first die and are reused for
                 // every die the thread claims. A panic poisons the
@@ -863,67 +771,6 @@ mod tests {
         let empty = run(bounded(4, 4)).unwrap();
         assert_eq!(empty.aggregate.dies, 0);
         assert_eq!(empty.metrics.dies_started, 0);
-    }
-
-    #[test]
-    fn batched_run_equals_scalar_run_at_any_lane_and_thread_count() {
-        let s = tiny_spec();
-        let scalar = run_campaign_with(
-            &s,
-            1,
-            &RunOptions {
-                batch: 1,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(scalar.metrics.batching.batched_solves, 0);
-        for lanes in [0usize, 2, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let batched = run_campaign_with(
-                    &s,
-                    threads,
-                    &RunOptions {
-                        batch: lanes,
-                        ..RunOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    batched.aggregate, scalar.aggregate,
-                    "lanes={lanes} threads={threads}"
-                );
-                assert!(
-                    batched.metrics.batching.batched_solves > 0,
-                    "lanes={lanes}: batching never engaged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn default_run_batches_and_reports_lane_utilization() {
-        let run = run_campaign(&tiny_spec(), 2).unwrap();
-        let b = &run.metrics.batching;
-        assert!(b.batched_solves > 0);
-        assert!(b.batch_refills > 0);
-        assert!(b.lockstep_rounds > 0);
-        assert!(
-            b.mean_lanes_active() > 1.0,
-            "mean {}",
-            b.mean_lanes_active()
-        );
-        let rounds: u64 = b.lanes_active.iter().sum();
-        assert_eq!(rounds, b.lockstep_rounds);
-    }
-
-    #[test]
-    fn cold_spec_falls_back_to_the_scalar_path() {
-        let mut s = tiny_spec();
-        s.warm_start = false;
-        let run = run_campaign(&s, 2).unwrap();
-        assert_eq!(run.metrics.batching.batched_solves, 0);
-        assert_eq!(run.metrics.batching.batch_refills, 0);
     }
 
     #[test]

@@ -7,35 +7,36 @@
 //! counter is live rather than vacuously reading zero.
 //!
 //! Same scaffold as `icvbe-spice`'s `alloc_free.rs`: a global counting
-//! allocator gated on a thread-local flag, in its own test binary so
-//! unrelated tests can't pollute the counters.
+//! allocator with a thread-local flag and counter, in its own test binary
+//! so unrelated tests can't pollute the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use icvbe_campaign::aggregate::YieldBin;
 use icvbe_campaign::die::{run_die_with, DieScratch};
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
+// Per-thread counter: the harness runs tests on parallel threads, and a
+// process-wide count would charge one test's allocations to another.
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_enabled() -> bool {
-    // `try_with` so the allocator stays safe during TLS teardown.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+/// Counts one (re)allocation on this thread while counting is enabled.
+/// `try_with` so the allocator stays safe during TLS teardown.
+fn bump() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_enabled() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -44,9 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_enabled() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|c| c.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCS.load(Ordering::Relaxed) - a0, out)
+    (ALLOCS.with(Cell::get), out)
 }
 
 #[test]

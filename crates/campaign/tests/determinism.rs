@@ -29,32 +29,15 @@ fn aggregate_artifacts_are_identical_at_1_2_and_8_threads() {
 }
 
 #[test]
-fn cold_start_reproduces_warm_start_artifacts() {
-    // Warm starts change only iteration counts, never results: the
-    // deterministic aggregate artifacts must be byte-identical with warm
-    // starting disabled.
-    let warm = run(2);
-    let mut cold_spec = spec();
-    cold_spec.warm_start = false;
-    let cold = run_campaign(&cold_spec, 2).expect("cold run");
-    assert_eq!(aggregate_json(&warm), aggregate_json(&cold));
-    assert_eq!(aggregate_csv(&warm), aggregate_csv(&cold));
-    assert_eq!(warm.aggregate, cold.aggregate);
-    // The observability side must show the difference instead: the warm
-    // run seeds (almost) every solve, the cold run seeds none, and the
-    // warm run does strictly less Newton work.
-    assert_eq!(cold.metrics.solver.warm_start_hits, 0);
-    assert!(warm.metrics.solver.warm_start_hits > 0);
-    assert!(warm.metrics.solver.warm_hit_rate() > 0.9);
+fn every_solve_after_a_pairs_first_is_warm_started() {
+    // Warm starts are always on: each die/corner's first solve is the
+    // only cold one, so the hit rate sits far above nine in ten.
+    let m = run(2).metrics.solver;
+    assert!(m.warm_start_misses > 0);
     assert!(
-        warm.metrics.solver.newton_iterations < cold.metrics.solver.newton_iterations,
-        "warm {} vs cold {} Newton iterations",
-        warm.metrics.solver.newton_iterations,
-        cold.metrics.solver.newton_iterations
-    );
-    assert_eq!(
-        warm.metrics.solver.selfheat_iterations, cold.metrics.solver.selfheat_iterations,
-        "thermal trajectories must be identical in both modes"
+        m.warm_hit_rate() > 0.9,
+        "warm hit rate {}",
+        m.warm_hit_rate()
     );
 }
 

@@ -75,7 +75,7 @@ impl SpiceIsLaw {
         // vexp, not libm exp: this feeds the per-temperature model cards
         // of the solver hot path (every self-heating update re-evaluates
         // it), and the deterministic kernel keeps the bits identical on
-        // the scalar and lane-batched paths on every host.
+        // every host.
         let arrhenius =
             icvbe_numerics::vexp::vexp(Q_OVER_BOLTZMANN * self.eg.value() * (1.0 / t0 - 1.0 / t));
         Ampere::new(self.is_ref.value() * ratio * arrhenius)

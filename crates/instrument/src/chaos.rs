@@ -340,7 +340,7 @@ impl ChaosPlan {
 
     /// Whether die number `die` is injected with a mid-solve panic.
     /// Keyed by the die index alone, so the verdict is identical at any
-    /// thread count or batch width.
+    /// thread count.
     #[must_use]
     pub fn die_panics(&self, die: u64) -> bool {
         if self.spec.die_panic_probability <= 0.0 {

@@ -17,7 +17,7 @@
 //! - [pseudo-random generation](rng) (SplitMix64, xoshiro256++) behind the
 //!   virtual instruments, the Monte-Carlo die factory and the campaign
 //!   engine's deterministic per-die seeding,
-//! - a [deterministic, branch-free `exp` kernel](vexp) in scalar, lane and
+//! - a [deterministic, branch-free `exp` kernel](vexp) in scalar and
 //!   slice forms — the platform-independent exponential behind every
 //!   hot-path junction evaluation.
 //!

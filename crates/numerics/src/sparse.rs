@@ -423,247 +423,6 @@ impl SparseLu {
     }
 }
 
-/// Disjoint views of two `len`-long lane rows of `values`: the update
-/// source row (shared) and destination row (mutable). The bases are
-/// distinct multiples of `len`, so the regions never overlap.
-fn disjoint_rows(
-    values: &mut [f64],
-    u_base: usize,
-    p_base: usize,
-    len: usize,
-) -> (&[f64], &mut [f64]) {
-    if u_base < p_base {
-        let (lo, hi) = values.split_at_mut(p_base);
-        (&lo[u_base..u_base + len], &mut hi[..len])
-    } else {
-        let (lo, hi) = values.split_at_mut(u_base);
-        (&hi[..len], &mut lo[p_base..p_base + len])
-    }
-}
-
-/// A lane-parallel sparse LU workspace: `lanes` independent matrices with
-/// the *same* sparsity pattern factored in lockstep against one shared
-/// [`LuSymbolic`] plan.
-///
-/// Storage is lane-strided structure-of-arrays: entry `(r, c)` of lane `l`
-/// lives at `values[(r * n + c) * lanes + l]`, so the elimination inner
-/// loops walk contiguous lane blocks — the layout a SIMD or GPU backend
-/// would consume directly.
-///
-/// # Bit-compatibility
-///
-/// Each lane's arithmetic is the scalar [`SparseLu`] kernel verbatim: the
-/// pivot scan visits the same candidate rows with the same strict `>`
-/// comparison, rows swap wholesale, and elimination updates run over the
-/// same update columns with the identical `lu -= factor * u` expression.
-/// A lane never reads another lane's values, so interleaving the lanes
-/// cannot change any lane's bits — asserted by the tests below.
-///
-/// A lane whose pivot collapses is reported singular individually (its
-/// mask slot is cleared); the remaining lanes finish unaffected.
-#[derive(Debug, Clone)]
-pub struct SparseLuBatch {
-    plan: Arc<LuSymbolic>,
-    lanes: usize,
-    /// Lane-strided dense value storage for the packed factors.
-    values: Vec<f64>,
-    /// Row permutations, lane-major: lane `l` maps row `i` from
-    /// `perm[l * n + i]`.
-    perm: Vec<usize>,
-    /// Per-step pivot scan scratch.
-    pivot_row: Vec<usize>,
-    pivot_val: Vec<f64>,
-    /// Per-lane multiplier scratch for the lane-inner update sweep.
-    factor: Vec<f64>,
-}
-
-impl SparseLuBatch {
-    /// A batch workspace bound to `plan` with the given lane count.
-    #[must_use]
-    pub fn new(plan: Arc<LuSymbolic>, lanes: usize) -> Self {
-        let n = plan.dimension();
-        SparseLuBatch {
-            plan,
-            lanes,
-            values: vec![0.0; n * n * lanes],
-            perm: vec![0; n * lanes],
-            pivot_row: vec![0; lanes],
-            pivot_val: vec![0.0; lanes],
-            factor: vec![0.0; lanes],
-        }
-    }
-
-    /// The shared symbolic plan.
-    #[must_use]
-    pub fn plan(&self) -> &Arc<LuSymbolic> {
-        &self.plan
-    }
-
-    /// Lane count this workspace was sized for.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Mutable view of the lane-strided value storage for the caller to
-    /// scatter per-lane matrices into before [`SparseLuBatch::factor`]:
-    /// entry `(r, c)` of lane `l` at `[(r * n + c) * lanes + l]`. Every
-    /// position outside the analyzed pattern must be exactly zero (the
-    /// per-lane caller contract of [`SparseLu::factor_from`]).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
-    /// Factors every lane whose `active` slot is set, in the frozen plan
-    /// order, clearing the slot of any lane that fails (non-finite input
-    /// or a singular pivot). Lanes with a cleared slot are left untouched
-    /// and never read.
-    pub fn factor(&mut self, active: &mut [bool]) {
-        let n = self.plan.n;
-        let lanes = self.lanes;
-        debug_assert_eq!(active.len(), lanes);
-        // Per-lane finiteness gate, mirroring the scalar input check.
-        for l in 0..lanes {
-            if !active[l] {
-                continue;
-            }
-            let finite = (0..n * n).all(|e| self.values[e * lanes + l].is_finite());
-            if !finite {
-                active[l] = false;
-            }
-        }
-        for l in 0..lanes {
-            for i in 0..n {
-                self.perm[l * n + i] = i;
-            }
-        }
-        for k in 0..n {
-            let cands = self.plan.cand(k);
-            // Pivot scan: same ascending candidate order, same strict `>`.
-            for l in 0..lanes {
-                self.pivot_row[l] = k;
-                self.pivot_val[l] = self.values[(k * n + k) * lanes + l].abs();
-            }
-            for &p in cands {
-                if p == k {
-                    continue;
-                }
-                for l in 0..lanes {
-                    if !active[l] {
-                        continue;
-                    }
-                    let v = self.values[(p * n + k) * lanes + l].abs();
-                    if v > self.pivot_val[l] {
-                        self.pivot_val[l] = v;
-                        self.pivot_row[l] = p;
-                    }
-                }
-            }
-            for l in 0..lanes {
-                if !active[l] {
-                    continue;
-                }
-                if self.pivot_val[l] < PIVOT_TOLERANCE {
-                    active[l] = false;
-                    continue;
-                }
-                let pr = self.pivot_row[l];
-                if pr != k {
-                    for j in 0..n {
-                        self.values
-                            .swap((pr * n + j) * lanes + l, (k * n + j) * lanes + l);
-                    }
-                    self.perm.swap(l * n + pr, l * n + k);
-                }
-            }
-            // Elimination update. When every lane is live the sweep runs
-            // lane-inner over the contiguous lane stride, which the
-            // compiler auto-vectorizes; the interchange reorders work
-            // *across* lanes only — for any single lane the (p, j) visit
-            // order and the `lu -= factor * u` expression are unchanged,
-            // so its bits are unchanged. Once any lane drops out the
-            // masked scalar sweep takes over, leaving cleared lanes
-            // untouched.
-            let all_active = active.iter().all(|&a| a);
-            for &p in cands {
-                if p == k {
-                    continue;
-                }
-                if all_active {
-                    let kk = (k * n + k) * lanes;
-                    let pk = (p * n + k) * lanes;
-                    for l in 0..lanes {
-                        self.factor[l] = self.values[pk + l] / self.values[kk + l];
-                    }
-                    self.values[pk..pk + lanes].copy_from_slice(&self.factor);
-                    for &j in self.plan.ucols(k) {
-                        let (u_row, p_row) = disjoint_rows(
-                            &mut self.values,
-                            (k * n + j) * lanes,
-                            (p * n + j) * lanes,
-                            lanes,
-                        );
-                        for ((pv, &u), f) in p_row.iter_mut().zip(u_row).zip(&self.factor) {
-                            *pv -= f * u;
-                        }
-                    }
-                } else {
-                    for l in 0..lanes {
-                        if !active[l] {
-                            continue;
-                        }
-                        let pivot = self.values[(k * n + k) * lanes + l];
-                        let factor = self.values[(p * n + k) * lanes + l] / pivot;
-                        self.values[(p * n + k) * lanes + l] = factor;
-                        for &j in self.plan.ucols(k) {
-                            let u = self.values[(k * n + j) * lanes + l];
-                            self.values[(p * n + j) * lanes + l] -= factor * u;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Solves lane `l`'s system into `x` from its stored factorization,
-    /// visiting only plan positions — per-lane arithmetic identical to
-    /// [`SparseLu::solve_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`NumericsError::DimensionMismatch`] on a bad lane index or slice
-    /// lengths. The caller must only solve lanes whose factor succeeded.
-    pub fn solve_lane(&self, l: usize, b: &[f64], x: &mut [f64]) -> Result<(), NumericsError> {
-        let n = self.plan.n;
-        let lanes = self.lanes;
-        if l >= lanes || b.len() != n || x.len() != n {
-            return Err(NumericsError::dims(format!(
-                "batch solve: lane {l} of {lanes}, rhs {} / out {} vs dimension {n}",
-                b.len(),
-                x.len()
-            )));
-        }
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = b[self.perm[l * n + i]];
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for &j in self.plan.lcols(i) {
-                s -= self.values[(i * n + j) * lanes + l] * x[j];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for &j in self.plan.ucols(i) {
-                s -= self.values[(i * n + j) * lanes + l] * x[j];
-            }
-            x[i] = s / self.values[(i * n + i) * lanes + l];
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -866,114 +625,6 @@ mod tests {
         nan[(1, 0)] = 1.0;
         assert!(ws.factor_from(&nan).is_err());
         assert_eq!(ws.dim(), 0);
-    }
-
-    /// Scatters `a` into lane `l` of the batch value storage.
-    fn scatter_lane(batch: &mut SparseLuBatch, l: usize, a: &Matrix) {
-        let n = a.rows();
-        let lanes = batch.lanes();
-        let values = batch.values_mut();
-        for r in 0..n {
-            for c in 0..n {
-                values[(r * n + c) * lanes + l] = a[(r, c)];
-            }
-        }
-    }
-
-    /// Every lane of a batched factor+solve must match the scalar sparse
-    /// workspace bit for bit, with the lanes factored in lockstep.
-    #[test]
-    fn batch_lanes_match_scalar_sparse_bitwise() {
-        let mut rng = Xoshiro256PlusPlus::seeded(0x5EED_0007);
-        let patterns: Vec<(usize, Vec<(usize, usize)>)> = vec![
-            (2, vec![(0, 0), (0, 1), (1, 0), (1, 1)]),
-            (3, vec![(0, 1), (1, 0), (1, 1), (2, 2), (0, 2)]),
-            (
-                6,
-                (0..6)
-                    .flat_map(|i| [(i, i), (0, i), (i, 0)])
-                    .collect::<Vec<_>>(),
-            ),
-        ];
-        for (n, entries) in patterns {
-            let plan = Arc::new(LuSymbolic::analyze(n, &entries).unwrap());
-            for lanes in [1usize, 2, 4, 8] {
-                let mut batch = SparseLuBatch::new(Arc::clone(&plan), lanes);
-                let mats: Vec<Matrix> = (0..lanes)
-                    .map(|_| pattern_matrix(n, &entries, &mut rng))
-                    .collect();
-                for (l, a) in mats.iter().enumerate() {
-                    scatter_lane(&mut batch, l, a);
-                }
-                let mut active = vec![true; lanes];
-                batch.factor(&mut active);
-                let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let mut xb = vec![0.0; n];
-                let mut xs = vec![0.0; n];
-                for (l, a) in mats.iter().enumerate() {
-                    let mut scalar = SparseLu::new(Arc::clone(&plan));
-                    match scalar.factor_from(a) {
-                        Ok(()) => {
-                            assert!(active[l], "lane {l} deactivated on a factorable matrix");
-                            batch.solve_lane(l, &b, &mut xb).unwrap();
-                            scalar.solve_into(&b, &mut xs).unwrap();
-                            assert_eq!(
-                                xb.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                "lane {l} diverged from the scalar kernel"
-                            );
-                        }
-                        Err(_) => assert!(!active[l], "lane {l} should have been masked"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// A singular lane is masked individually; its neighbors still match
-    /// the scalar kernel bit for bit.
-    #[test]
-    fn batch_masks_singular_lane_without_disturbing_neighbors() {
-        let entries = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)];
-        let plan = Arc::new(LuSymbolic::analyze(3, &entries).unwrap());
-        let mut rng = Xoshiro256PlusPlus::seeded(0x5EED_0008);
-        let good_a = pattern_matrix(3, &entries, &mut rng);
-        let good_b = pattern_matrix(3, &entries, &mut rng);
-        let mut singular = Matrix::zeros(3, 3);
-        singular[(0, 0)] = 1.0;
-        singular[(0, 1)] = 2.0;
-        singular[(1, 0)] = 2.0;
-        singular[(1, 1)] = 4.0;
-        singular[(2, 2)] = 1.0;
-        let mut nan = good_a.clone();
-        nan[(1, 1)] = f64::NAN;
-
-        let mut batch = SparseLuBatch::new(Arc::clone(&plan), 4);
-        scatter_lane(&mut batch, 0, &good_a);
-        scatter_lane(&mut batch, 1, &singular);
-        scatter_lane(&mut batch, 2, &good_b);
-        scatter_lane(&mut batch, 3, &nan);
-        let mut active = vec![true; 4];
-        batch.factor(&mut active);
-        assert_eq!(active, vec![true, false, true, false]);
-
-        let b = [0.5, -1.25, 2.0];
-        for (l, a) in [(0usize, &good_a), (2, &good_b)] {
-            let mut scalar = SparseLu::new(Arc::clone(&plan));
-            scalar.factor_from(a).unwrap();
-            let mut xb = vec![0.0; 3];
-            let mut xs = vec![0.0; 3];
-            batch.solve_lane(l, &b, &mut xb).unwrap();
-            scalar.solve_into(&b, &mut xs).unwrap();
-            assert_eq!(
-                xb.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "surviving lane {l} diverged next to a masked lane"
-            );
-        }
-        assert!(batch.solve_lane(9, &b, &mut [0.0; 3]).is_err());
-        assert_eq!(batch.plan().dimension(), 3);
-        assert_eq!(batch.lanes(), 4);
     }
 
     #[test]

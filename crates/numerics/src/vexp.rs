@@ -5,9 +5,7 @@
 //!
 //! `f64::exp` goes through the platform libm: a scalar call with
 //! data-dependent branches whose exact bits vary across hosts and libc
-//! versions. That pins the solver's hot loop to scalar code (the
-//! lane-batched Newton path of `icvbe-spice` cannot vectorize around an
-//! opaque call) and makes golden fixtures host-specific. This module
+//! versions, which makes golden fixtures host-specific. This module
 //! replaces it with a fixed arithmetic pipeline — Cody–Waite two-term
 //! argument reduction, a degree-12 minimax polynomial, exponent scaling by
 //! integer bit construction — that is:
@@ -15,27 +13,17 @@
 //! - **deterministic across platforms**: pure IEEE-754 double arithmetic
 //!   and integer ops, no fused multiply-add (Rust never contracts `a*b+c`
 //!   implicitly), so every host computes the same bits;
-//! - **branch-free**: clamps and special cases are per-lane selects, so
-//!   the lane form is straight-line code the compiler auto-vectorizes;
-//! - **bit-identical in all three forms**: [`vexp`], [`vexp_lanes`] and
-//!   [`vexp_slice`] all route through one `#[inline(always)]` core, so
-//!   scalar and batched solver paths agree by construction.
+//! - **branch-free**: clamps and special cases are per-element selects,
+//!   so the slice form is straight-line code the compiler auto-vectorizes;
+//! - **bit-identical in both forms**: [`vexp`] and [`vexp_slice`] route
+//!   through one `#[inline(always)]` core, so the scalar and slice device
+//!   paths agree by construction.
 //!
 //! Accuracy is within 2 ulp of a correctly-rounded `exp` over the solver's
 //! operating range (`|x| ≤ 120`, the `limexp` linearization region and far
 //! beyond); see the test suite. Overflow clamps to `+∞` above
 //! [`VEXP_OVERFLOW`] and to `+0.0` below [`VEXP_UNDERFLOW`], matching libm
 //! `exp` semantics; NaN propagates; `±0 → 1` exactly.
-//!
-//! # Ablation switch
-//!
-//! [`set_libm_backend`] routes every entry point back through `f64::exp`
-//! at runtime — the `--libm-exp` campaign ablation. The switch is a
-//! process-global relaxed atomic read hoisted out of the slice loops; the
-//! libm call lives only here, which is what lets the repo gate "no libm
-//! `exp` in hot paths" by grep.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `log2(e)`: scales the reduction to base 2.
 const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -73,25 +61,8 @@ const C: [f64; 11] = [
     5e-1,
 ];
 
-/// Process-global ablation switch: when set, every entry point routes
-/// through libm `f64::exp` instead of the in-tree kernel.
-static USE_LIBM: AtomicBool = AtomicBool::new(false);
-
-/// Selects the libm backend (`true`) or the in-tree kernel (`false`,
-/// the default). Used by the `--libm-exp` campaign ablation; flip it
-/// before any solves run — the switch is process-global.
-pub fn set_libm_backend(on: bool) {
-    USE_LIBM.store(on, Ordering::Relaxed);
-}
-
-/// Whether the libm ablation backend is active.
-#[must_use]
-pub fn libm_backend() -> bool {
-    USE_LIBM.load(Ordering::Relaxed)
-}
-
-/// The shared straight-line core: every public form calls exactly this,
-/// which is what makes scalar and lane results bit-identical.
+/// The shared straight-line core: both public forms call exactly this,
+/// which is what makes scalar and slice results bit-identical.
 #[inline(always)]
 fn exp_core(x: f64) -> f64 {
     // Bound the reduction pipeline. `min`/`max` map NaN to the bound
@@ -116,7 +87,7 @@ fn exp_core(x: f64) -> f64 {
     // chain is 10 serial mul-adds deep (the latency wall that made the
     // scalar form slower than libm), while the power-of-s tree below is
     // ~5 deep and its independent pairs issue in parallel — in scalar
-    // *and* in vectorized lane code alike.
+    // *and* in vectorized slice code alike.
     let s2 = s * s;
     let s4 = s2 * s2;
     let s8 = s4 * s4;
@@ -150,8 +121,7 @@ fn exp_core(x: f64) -> f64 {
     }
 }
 
-/// Scalar form: `e^x` through the deterministic kernel (or libm when the
-/// ablation backend is active).
+/// Scalar form: `e^x` through the deterministic kernel.
 ///
 /// # Examples
 ///
@@ -167,48 +137,18 @@ fn exp_core(x: f64) -> f64 {
 #[must_use]
 #[inline]
 pub fn vexp(x: f64) -> f64 {
-    if libm_backend() {
-        return x.exp();
-    }
     exp_core(x)
 }
 
-/// Lane-array form: straight-line per-lane arithmetic over a fixed-width
-/// block, bit-identical to [`vexp`] per lane. The loop body has no
-/// data-dependent branches, so the compiler unrolls and auto-vectorizes
-/// it — the shape a SIMD or GPU backend consumes directly.
-#[must_use]
-#[inline]
-pub fn vexp_lanes<const N: usize>(xs: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    if libm_backend() {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = x.exp();
-        }
-        return out;
-    }
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = exp_core(x);
-    }
-    out
-}
-
 /// Slice form for variable-length batches (robust/IRLS model paths, the
-/// lane-batched device kernels): `out[i] = e^(xs[i])`, bit-identical to
-/// [`vexp`] per element. The backend switch is read once, outside the
-/// loop.
+/// device eval miss path): `out[i] = e^(xs[i])`, bit-identical to
+/// [`vexp`] per element.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than `xs`.
 pub fn vexp_slice(xs: &[f64], out: &mut [f64]) {
     let out = &mut out[..xs.len()];
-    if libm_backend() {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = x.exp();
-        }
-        return;
-    }
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = exp_core(x);
     }
@@ -302,8 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn lanes_and_slice_match_scalar_bitwise() {
-        // Adversarial lane patterns: mixed magnitudes, clamps, specials,
+    fn slice_matches_scalar_bitwise() {
+        // Adversarial element patterns: mixed magnitudes, clamps, specials,
         // denormal-result arguments, sign flips — all in one block.
         let adversarial = [
             0.0,
@@ -323,12 +263,10 @@ mod tests {
             f64::NAN,
             3.5e-8,
         ];
-        let lanes = vexp_lanes(&adversarial);
         let mut sliced = [0.0; 16];
         vexp_slice(&adversarial, &mut sliced);
         for (i, &x) in adversarial.iter().enumerate() {
             let s = vexp(x);
-            assert_eq!(s.to_bits(), lanes[i].to_bits(), "lane {i} x={x}");
             assert_eq!(s.to_bits(), sliced[i].to_bits(), "slice {i} x={x}");
         }
         // And across a dense sweep in odd-width slices.
@@ -338,21 +276,5 @@ mod tests {
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(vexp(x).to_bits(), out[i].to_bits(), "slice sweep {i}");
         }
-    }
-
-    #[test]
-    fn libm_backend_switch_routes_all_forms() {
-        set_libm_backend(true);
-        let xs = [0.5, -3.25, 17.0, -40.0];
-        let lanes = vexp_lanes(&xs);
-        let mut sliced = [0.0; 4];
-        vexp_slice(&xs, &mut sliced);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(vexp(x).to_bits(), x.exp().to_bits(), "scalar {x}");
-            assert_eq!(lanes[i].to_bits(), x.exp().to_bits(), "lane {x}");
-            assert_eq!(sliced[i].to_bits(), x.exp().to_bits(), "slice {x}");
-        }
-        set_libm_backend(false);
-        assert_eq!(vexp(0.5).to_bits(), exp_core(0.5).to_bits());
     }
 }

@@ -2,19 +2,20 @@
 //! with an ASCII summary and optional JSON/CSV artifacts.
 //!
 //! ```text
-//! repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR] [--cold]
-//!                [--no-bypass] [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]
-//!                [--batch N] [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N]
-//!                [--die-wall-ms MS] [--shards N] [--adaptive | --exhaustive] [--libm-exp]
+//! repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR]
+//!                [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]
+//!                [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N]
+//!                [--die-wall-ms MS] [--shards N] [--adaptive | --exhaustive]
 //! ```
 //!
 //! `--dies N` picks the smallest circular wafer holding at least `N`
 //! dies; `--diameter D` sets the wafer diameter (in dies) directly. The
 //! aggregate artifacts written by `--out` are bit-identical for any
-//! `--threads` value (see `icvbe-campaign`'s determinism guarantee), and
-//! also with `--cold`, which disables solver warm starting, and with
-//! `--no-bypass`, which disables the SPICE-style device-evaluation bypass
-//! — both useful to measure a speedup while verifying it changes nothing.
+//! `--threads` value (see `icvbe-campaign`'s determinism guarantee).
+//! The spec flags (`--dies`, `--diameter`, `--seed`, `--faults`,
+//! `--retries`, `--no-robust`, `--adaptive`, `--exhaustive`) are parsed
+//! by [`SpecCliArgs`], which `repro submit` shares, so a served lot and a
+//! one-shot run of the same flags build the same spec.
 //!
 //! `--faults SPEC` corrupts every die's measurement deterministically:
 //! `light`/`heavy` presets or `k=v` pairs (`noise=0.05,drop=0.01,...`, see
@@ -44,20 +45,6 @@
 //! `--die-wall-ms` is the wall-clock analogue and the one knowingly
 //! nondeterministic knob.
 //!
-//! `--batch N` sets the lane count of the batched die-parallel solve
-//! path: workers pack `N` same-corner dies into structure-of-arrays lanes
-//! and step them through Newton in lockstep over one frozen sparse plan.
-//! `--batch 1` forces the scalar per-die path (the ablation baseline);
-//! the default (`0` = auto) picks a full claim chunk. Accepted results
-//! are bit-identical at every setting — the summary's `batching:` line
-//! reports lane utilization.
-//!
-//! `--libm-exp` swaps the in-tree `vexp` exponential kernel for libm's
-//! `f64::exp` everywhere — the benchmarking ablation of the vectorizable
-//! kernel. It changes the accepted bits (libm is platform-dependent), and
-//! it propagates into shard workers so the cross-shard byte-identity
-//! contract holds under the ablation too.
-//!
 //! The subcommand's exit code distinguishes *could not run* (1) from
 //! *ran, but every corner failed the spec window* (2) — see [`help`] and
 //! [`run_cli_status`].
@@ -75,36 +62,133 @@ use icvbe_instrument::chaos::ChaosSpec;
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_serve::shard::{run_sharded, ShardOptions};
 
-/// Parsed `repro campaign` arguments.
+/// Campaign-spec flags, shared by `repro campaign` and `repro submit`:
+/// one parser ([`SpecCliArgs::eat`]) and one builder
+/// ([`SpecCliArgs::build`]), so both subcommands turn the same flags into
+/// the same [`CampaignSpec`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CampaignCliArgs {
+pub struct SpecCliArgs {
     /// Circular wafer diameter, in dies.
     pub diameter: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Directory for JSON/CSV artifacts (`None` = print only).
-    pub out: Option<PathBuf>,
-    /// Disable solver warm starting (ablation / verification mode).
-    pub cold: bool,
-    /// Device-evaluation bypass inside Newton (`--no-bypass` clears it;
-    /// ablation / verification mode, same contract as `cold`).
-    pub bypass: bool,
     /// Deterministic measurement corruption (all-zero = off).
     pub faults: FaultSpec,
     /// Override of the per-corner retry budget (`None` = spec default).
     pub retries: Option<u32>,
     /// Pooled robust-fit fallback for corrupted corners.
     pub robust: bool,
+    /// Adaptive corner scheduling (`--adaptive`): probe each die on its
+    /// first corner, escalate to the full plan only when the probe is
+    /// suspicious. Changes the aggregate artifacts (skipped corners).
+    pub adaptive: bool,
+    /// Explicit exhaustive schedule (`--exhaustive`, the default
+    /// behaviour); conflicts with `--adaptive`.
+    pub exhaustive: bool,
+}
+
+impl Default for SpecCliArgs {
+    fn default() -> Self {
+        SpecCliArgs {
+            diameter: 14,
+            seed: 2002,
+            faults: FaultSpec::none(),
+            retries: None,
+            robust: true,
+            adaptive: false,
+            exhaustive: false,
+        }
+    }
+}
+
+impl SpecCliArgs {
+    /// The campaign spec these flags describe.
+    #[must_use]
+    pub fn build(&self) -> CampaignSpec {
+        let mut spec = CampaignSpec::paper_default(WaferMap::circular(self.diameter), self.seed);
+        spec.faults = self.faults;
+        spec.robust = self.robust;
+        spec.adaptive = self.adaptive;
+        if let Some(budget) = self.retries {
+            spec.retry_budget = budget;
+        }
+        spec
+    }
+
+    /// Tries to consume one spec flag, pulling its value from `next`;
+    /// `Ok(true)` if `arg` was one.
+    ///
+    /// # Errors
+    ///
+    /// A usage message on a malformed value, or on `--adaptive` together
+    /// with `--exhaustive`.
+    pub fn eat(
+        &mut self,
+        arg: &str,
+        mut next: impl FnMut() -> Option<String>,
+    ) -> Result<bool, String> {
+        let value = |flag: &str, v: Option<String>| -> Result<String, String> {
+            v.ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match arg {
+            "--dies" => {
+                let v = value("--dies", next())?;
+                let n: usize = v.parse().map_err(|_| format!("bad --dies value {v:?}"))?;
+                if n == 0 {
+                    return Err("--dies must be positive".to_string());
+                }
+                self.diameter = diameter_for_dies(n);
+            }
+            "--diameter" => {
+                let v = value("--diameter", next())?;
+                self.diameter = v
+                    .parse()
+                    .map_err(|_| format!("bad --diameter value {v:?}"))?;
+                if self.diameter == 0 {
+                    return Err("--diameter must be positive".to_string());
+                }
+            }
+            "--seed" => {
+                let v = value("--seed", next())?;
+                self.seed = v.parse().map_err(|_| format!("bad --seed value {v:?}"))?;
+            }
+            "--faults" => {
+                let v = value("--faults", next())?;
+                self.faults = FaultSpec::parse(&v).map_err(|e| e.detail)?;
+            }
+            "--retries" => {
+                let v = value("--retries", next())?;
+                self.retries = Some(
+                    v.parse()
+                        .map_err(|_| format!("bad --retries value {v:?}"))?,
+                );
+            }
+            "--no-robust" => self.robust = false,
+            "--adaptive" => self.adaptive = true,
+            "--exhaustive" => self.exhaustive = true,
+            _ => return Ok(false),
+        }
+        if self.adaptive && self.exhaustive {
+            return Err("--adaptive and --exhaustive are mutually exclusive".to_string());
+        }
+        Ok(true)
+    }
+}
+
+/// Parsed `repro campaign` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignCliArgs {
+    /// The campaign spec flags.
+    pub spec: SpecCliArgs,
+    /// Worker threads.
+    pub threads: usize,
+    /// Directory for JSON/CSV artifacts (`None` = print only).
+    pub out: Option<PathBuf>,
     /// Capture a span trace and write the trace/profile artifacts.
     pub trace: bool,
     /// Where the trace artifacts go (`None` = `--out` dir, else the
     /// ignored `artifacts/` directory).
     pub trace_dir: Option<PathBuf>,
-    /// Lanes per die group on the batched solve path (`0` = auto, `1` =
-    /// scalar ablation). Bit-identical results at every setting.
-    pub batch: usize,
     /// Environment-fault injection (`--chaos`): the campaign subcommand
     /// consults only the die-panic knob; write/socket faults act in the
     /// service. All-zero (the default) = off.
@@ -119,42 +203,21 @@ pub struct CampaignCliArgs {
     /// Worker-process count for sharded execution (`--shards`, 0 = run
     /// in-process). Artifacts are byte-identical at any shard count.
     pub shards: usize,
-    /// Adaptive corner scheduling (`--adaptive`): probe each die on its
-    /// first corner, escalate to the full plan only when the probe is
-    /// suspicious. Changes the aggregate artifacts (skipped corners).
-    pub adaptive: bool,
-    /// Explicit exhaustive ablation (`--exhaustive`, the default
-    /// behaviour); conflicts with `--adaptive`.
-    pub exhaustive: bool,
-    /// Route every `vexp` call through libm's `f64::exp` (`--libm-exp`).
-    /// Ablation knob for benchmarking the in-tree kernel; changes the
-    /// accepted bits, so it propagates to shard workers.
-    pub libm_exp: bool,
 }
 
 impl Default for CampaignCliArgs {
     fn default() -> Self {
         CampaignCliArgs {
-            diameter: 14,
+            spec: SpecCliArgs::default(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            seed: 2002,
             out: None,
-            cold: false,
-            bypass: true,
-            faults: FaultSpec::none(),
-            retries: None,
-            robust: true,
             trace: false,
             trace_dir: None,
-            batch: 0,
             chaos: ChaosSpec::none(),
             chaos_seed: 0,
             die_iter_budget: 0,
             die_wall_ms: 0,
             shards: 0,
-            adaptive: false,
-            exhaustive: false,
-            libm_exp: false,
         }
     }
 }
@@ -181,24 +244,10 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
         v.cloned().ok_or_else(|| format!("{flag} needs a value"))
     };
     while let Some(arg) = it.next() {
+        if out.spec.eat(arg, || it.next().cloned())? {
+            continue;
+        }
         match arg.as_str() {
-            "--dies" => {
-                let v = value("--dies", it.next())?;
-                let n: usize = v.parse().map_err(|_| format!("bad --dies value {v:?}"))?;
-                if n == 0 {
-                    return Err("--dies must be positive".to_string());
-                }
-                out.diameter = diameter_for_dies(n);
-            }
-            "--diameter" => {
-                let v = value("--diameter", it.next())?;
-                out.diameter = v
-                    .parse()
-                    .map_err(|_| format!("bad --diameter value {v:?}"))?;
-                if out.diameter == 0 {
-                    return Err("--diameter must be positive".to_string());
-                }
-            }
             "--threads" => {
                 let v = value("--threads", it.next())?;
                 out.threads = v
@@ -208,40 +257,8 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                     return Err("--threads must be positive".to_string());
                 }
             }
-            "--seed" => {
-                let v = value("--seed", it.next())?;
-                out.seed = v.parse().map_err(|_| format!("bad --seed value {v:?}"))?;
-            }
             "--out" => {
                 out.out = Some(PathBuf::from(value("--out", it.next())?));
-            }
-            "--cold" => {
-                out.cold = true;
-            }
-            "--no-bypass" => {
-                out.bypass = false;
-            }
-            "--faults" => {
-                let v = value("--faults", it.next())?;
-                out.faults = FaultSpec::parse(&v).map_err(|e| e.detail)?;
-            }
-            "--retries" => {
-                let v = value("--retries", it.next())?;
-                out.retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --retries value {v:?}"))?,
-                );
-            }
-            "--no-robust" => {
-                out.robust = false;
-            }
-            "--batch" => {
-                let v = value("--batch", it.next())?;
-                out.batch = v.parse().map_err(|_| format!("bad --batch value {v:?}"))?;
-            }
-            other if other.starts_with("--batch=") => {
-                let v = &other["--batch=".len()..];
-                out.batch = v.parse().map_err(|_| format!("bad --batch value {v:?}"))?;
             }
             "--chaos" => {
                 let v = value("--chaos", it.next())?;
@@ -272,15 +289,6 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                     return Err("--shards must be positive".to_string());
                 }
             }
-            "--adaptive" => {
-                out.adaptive = true;
-            }
-            "--exhaustive" => {
-                out.exhaustive = true;
-            }
-            "--libm-exp" => {
-                out.libm_exp = true;
-            }
             "--trace" => {
                 out.trace = true;
             }
@@ -296,16 +304,13 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                 return Err(format!(
                     "unknown campaign argument {other:?} \
                      (usage: campaign [--dies N | --diameter D] [--threads N] [--seed S] \
-                     [--out DIR] [--cold] [--no-bypass] [--faults SPEC] [--retries N] \
-                     [--no-robust] [--trace[=DIR]] [--batch N] [--chaos SPEC] \
-                     [--chaos-seed S] [--die-iter-budget N] [--die-wall-ms MS] \
-                     [--shards N] [--adaptive | --exhaustive] [--libm-exp])"
+                     [--out DIR] [--faults SPEC] [--retries N] [--no-robust] \
+                     [--trace[=DIR]] [--chaos SPEC] [--chaos-seed S] \
+                     [--die-iter-budget N] [--die-wall-ms MS] [--shards N] \
+                     [--adaptive | --exhaustive])"
                 ));
             }
         }
-    }
-    if out.adaptive && out.exhaustive {
-        return Err("--adaptive and --exhaustive are mutually exclusive".to_string());
     }
     if out.shards > 0 {
         // Traces live in worker processes (unmergeable wall clocks) and
@@ -431,28 +436,6 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  device evals: {:.1}% lane-kernel ({} lane, {} scalar in-stamp), \
-         {} absorbed by exact-bit memo",
-        solver.lane_eval_share() * 100.0,
-        solver.lane_evals,
-        solver.device_evals - solver.lane_evals,
-        solver.device_reuses,
-    );
-    let batching = &run.metrics.batching;
-    if batching.batch_refills > 0 {
-        let _ = writeln!(
-            s,
-            "  batching: {} lane-solves in {} lockstep rounds \
-             ({:.1} lanes/round mean), {} die groups, {} lane retires",
-            batching.batched_solves,
-            batching.lockstep_rounds,
-            batching.mean_lanes_active(),
-            batching.batch_refills,
-            batching.lane_retires,
-        );
-    }
-    let _ = writeln!(
-        s,
         "\n  stage timings (p50/p99 per die): {}",
         run.metrics
             .stages
@@ -511,15 +494,15 @@ fn fmt_ns(ns: u64) -> String {
 #[must_use]
 pub fn help() -> String {
     "repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR]\n\
-     \x20              [--cold] [--no-bypass] [--faults SPEC] [--retries N] [--no-robust]\n\
-     \x20              [--trace[=DIR]] [--batch N] [--chaos SPEC] [--chaos-seed S]\n\
-     \x20              [--die-iter-budget N] [--die-wall-ms MS] [--shards N]\n\
-     \x20              [--adaptive | --exhaustive] [--libm-exp]\n\
+     \x20              [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]\n\
+     \x20              [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N]\n\
+     \x20              [--die-wall-ms MS] [--shards N] [--adaptive | --exhaustive]\n\
      \n\
      Runs a wafer-scale IC(VBE) extraction campaign and prints a summary;\n\
      --out writes the JSON/CSV report artifacts (bit-identical at any\n\
-     --threads value and any --batch lane count; --batch 1 is the scalar\n\
-     ablation baseline).\n\
+     --threads value). The spec flags (--dies, --diameter, --seed, --faults,\n\
+     --retries, --no-robust, --adaptive, --exhaustive) mean the same in\n\
+     `repro submit`.\n\
      \n\
      --chaos SPEC injects environment faults (presets light/heavy or k=v\n\
      pairs: die_panic=P, write_error=P, short_write=P, torn=P, stall=P,\n\
@@ -537,10 +520,7 @@ pub fn help() -> String {
      --chaos). --adaptive probes each die on its first corner and runs\n\
      the remaining corners only when the probe looks suspicious; clean\n\
      dies report those corners as skipped. --exhaustive is the explicit\n\
-     full-plan ablation (the default). --libm-exp routes every exp through\n\
-     libm instead of the in-tree vexp kernel — the benchmarking ablation;\n\
-     it changes the accepted bits and propagates into shard workers, so\n\
-     artifacts stay byte-identical across threads/batch/shards either way.\n\
+     full plan (the default).\n\
      \n\
      Exit codes:\n\
      \x20 0  campaign ran and at least one corner measurement passed the spec window\n\
@@ -565,18 +545,7 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
         return Ok((help(), 0));
     }
     let cli = parse_args(args)?;
-    // Process-wide backend switch: must act before any die is solved,
-    // and again inside every shard worker (bits change with it).
-    icvbe_numerics::vexp::set_libm_backend(cli.libm_exp);
-    let mut spec = CampaignSpec::paper_default(WaferMap::circular(cli.diameter), cli.seed);
-    spec.warm_start = !cli.cold;
-    spec.bypass = cli.bypass;
-    spec.faults = cli.faults;
-    spec.robust = cli.robust;
-    spec.adaptive = cli.adaptive;
-    if let Some(budget) = cli.retries {
-        spec.retry_budget = budget;
-    }
+    let spec = cli.spec.build();
     let budget = DieBudget {
         max_newton_iterations: cli.die_iter_budget,
         max_wall_ms: cli.die_wall_ms,
@@ -585,16 +554,13 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
         let opts = ShardOptions {
             shards: cli.shards,
             threads: cli.threads,
-            batch: cli.batch,
             budget,
-            libm_exp: cli.libm_exp,
             worker_exe: None,
         };
         run_sharded(&spec, &opts).map_err(|e| e.to_string())?
     } else {
         let options = RunOptions {
             trace: cli.trace,
-            batch: cli.batch,
             chaos: cli.chaos,
             chaos_seed: cli.chaos_seed,
             budget,
@@ -665,18 +631,18 @@ mod tests {
     #[test]
     fn parses_full_flag_set() {
         let a = parse_args(&sv(&["--diameter", "9", "--threads", "3", "--seed", "7"])).unwrap();
-        assert_eq!(a.diameter, 9);
+        assert_eq!(a.spec.diameter, 9);
         assert_eq!(a.threads, 3);
-        assert_eq!(a.seed, 7);
+        assert_eq!(a.spec.seed, 7);
         assert_eq!(a.out, None);
     }
 
     #[test]
     fn dies_flag_picks_covering_diameter() {
         let a = parse_args(&sv(&["--dies", "1000"])).unwrap();
-        let map = WaferMap::circular(a.diameter);
+        let map = WaferMap::circular(a.spec.diameter);
         assert!(map.die_count() >= 1000, "{} dies", map.die_count());
-        assert!(WaferMap::circular(a.diameter - 1).die_count() < 1000);
+        assert!(WaferMap::circular(a.spec.diameter - 1).die_count() < 1000);
     }
 
     #[test]
@@ -690,12 +656,12 @@ mod tests {
     #[test]
     fn parses_fault_flags() {
         let a = parse_args(&sv(&["--faults", "heavy", "--retries", "5", "--no-robust"])).unwrap();
-        assert_eq!(a.faults, FaultSpec::heavy());
-        assert_eq!(a.retries, Some(5));
-        assert!(!a.robust);
+        assert_eq!(a.spec.faults, FaultSpec::heavy());
+        assert_eq!(a.spec.retries, Some(5));
+        assert!(!a.spec.robust);
         let b = parse_args(&sv(&["--faults", "noise=0.2,drop=0.05"])).unwrap();
-        assert_eq!(b.faults.noise_probability, 0.2);
-        assert_eq!(b.faults.drop_probability, 0.05);
+        assert_eq!(b.spec.faults.noise_probability, 0.2);
+        assert_eq!(b.spec.faults.drop_probability, 0.05);
         assert!(parse_args(&sv(&["--faults", "nonsense=1"])).is_err());
         assert!(parse_args(&sv(&["--retries", "many"])).is_err());
     }
@@ -817,10 +783,10 @@ mod tests {
     fn parses_shard_and_adaptive_flags() {
         let a = parse_args(&sv(&["--shards", "4", "--adaptive"])).unwrap();
         assert_eq!(a.shards, 4);
-        assert!(a.adaptive);
+        assert!(a.spec.adaptive);
         let off = parse_args(&sv(&[])).unwrap();
         assert_eq!(off.shards, 0, "sharding must be off by default");
-        assert!(!off.adaptive, "adaptive must be off by default");
+        assert!(!off.spec.adaptive, "adaptive must be off by default");
         assert!(parse_args(&sv(&["--shards", "0"])).is_err());
         assert!(parse_args(&sv(&["--shards", "lots"])).is_err());
         assert!(parse_args(&sv(&["--adaptive", "--exhaustive"])).is_err());
@@ -832,40 +798,20 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_flag() {
-        let a = parse_args(&sv(&["--batch", "4"])).unwrap();
-        assert_eq!(a.batch, 4);
-        let b = parse_args(&sv(&["--batch=1"])).unwrap();
-        assert_eq!(b.batch, 1);
-        assert_eq!(parse_args(&sv(&[])).unwrap().batch, 0, "default is auto");
-        assert!(parse_args(&sv(&["--batch", "many"])).is_err());
-        assert!(parse_args(&sv(&["--batch"])).is_err());
-    }
-
-    #[test]
-    fn batch_ablation_changes_only_solver_effort_lines() {
-        let batched = run_cli(&sv(&["--diameter", "3", "--threads", "1", "--seed", "9"])).unwrap();
-        let scalar = run_cli(&sv(&[
-            "--diameter",
-            "3",
-            "--threads",
-            "1",
-            "--seed",
-            "9",
-            "--batch",
-            "1",
-        ]))
-        .unwrap();
-        assert!(batched.contains("batching:"), "summary:\n{batched}");
-        assert!(!scalar.contains("batching:"), "summary:\n{scalar}");
-        // The corner table (the physics) is identical; only timing and
-        // solver-effort lines may differ between the two modes.
-        let physics = |s: &str| {
-            let start = s.find("\n\n  corner").unwrap();
-            let end = s.find("\n\n  solver:").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(physics(&batched), physics(&scalar));
+    fn retired_solver_switches_are_unknown_arguments() {
+        for args in [
+            &["--batch", "1"][..],
+            &["--batch=4"],
+            &["--cold"],
+            &["--no-bypass"],
+            &["--libm-exp"],
+        ] {
+            let err = parse_args(&sv(args)).unwrap_err();
+            assert!(
+                err.starts_with("unknown campaign argument"),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -875,56 +821,6 @@ mod tests {
         assert!(text.contains("corner"));
         assert!(text.contains("nom"));
         assert!(text.contains("warm-start hit rate"));
-    }
-
-    #[test]
-    fn cold_flag_disables_warm_starting_without_changing_results() {
-        let warm = run_cli(&sv(&["--diameter", "3", "--threads", "1", "--seed", "9"])).unwrap();
-        let cold = run_cli(&sv(&[
-            "--diameter",
-            "3",
-            "--threads",
-            "1",
-            "--seed",
-            "9",
-            "--cold",
-        ]))
-        .unwrap();
-        assert!(cold.contains("hit rate 0.0%"), "cold summary:\n{cold}");
-        assert!(!warm.contains("hit rate 0.0%"), "warm summary:\n{warm}");
-        // The corner table (the physics) is identical; only timing and
-        // solver-effort lines may differ between the two modes.
-        let physics = |s: &str| {
-            let start = s.find("\n\n  corner").unwrap();
-            let end = s.find("\n\n  solver:").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(physics(&warm), physics(&cold));
-    }
-
-    #[test]
-    fn no_bypass_flag_disables_bypass_without_changing_results() {
-        let on = run_cli(&sv(&["--diameter", "3", "--threads", "1", "--seed", "9"])).unwrap();
-        let off = run_cli(&sv(&[
-            "--diameter",
-            "3",
-            "--threads",
-            "1",
-            "--seed",
-            "9",
-            "--no-bypass",
-        ]))
-        .unwrap();
-        assert!(off.contains(" 0 bypasses)"), "no-bypass summary:\n{off}");
-        assert!(on.contains("stamping: device bypass hit rate"));
-        // Bypass is a pure speed knob: every physics number in the corner
-        // table is byte-identical with it on or off.
-        let physics = |s: &str| {
-            let start = s.find("\n\n  corner").unwrap();
-            let end = s.find("\n\n  solver:").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(physics(&on), physics(&off));
     }
 
     #[test]

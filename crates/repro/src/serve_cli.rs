@@ -8,7 +8,8 @@
 //!              [--chaos SPEC] [--chaos-seed S]
 //! repro submit [--addr HOST:PORT] [--tenant T] [--label L] [--out DIR]
 //!              [--no-wait] [spec flags: --dies N | --diameter D, --seed S,
-//!              --cold, --no-bypass, --faults SPEC, --retries N, --no-robust]
+//!              --faults SPEC, --retries N, --no-robust,
+//!              --adaptive | --exhaustive]
 //! repro watch  [--addr HOST:PORT] (--job N | --label L [--tenant T]) [--out DIR]
 //! ```
 //!
@@ -18,8 +19,9 @@
 //! `--checkpoint-dir` a killed daemon restarted on the same directory
 //! resumes every incomplete job byte-identically.
 //!
-//! `submit` builds the same campaign spec `repro campaign` would (the
-//! spec flags are identical), sends it to a running daemon and — unless
+//! `submit` builds the same campaign spec `repro campaign` would (both
+//! parse the spec flags with [`SpecCliArgs`]), sends it to a running
+//! daemon and — unless
 //! `--no-wait` — streams per-die progress until the job completes, then
 //! writes the report artifacts to `--out`. The four deterministic
 //! artifacts are byte-identical to a one-shot
@@ -41,112 +43,15 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 use icvbe_instrument::chaos::ChaosSpec;
-use icvbe_instrument::faults::FaultSpec;
 use icvbe_serve::client::Client;
 use icvbe_serve::daemon::Daemon;
 use icvbe_serve::service::ServiceConfig;
 
-use crate::campaign_cli::diameter_for_dies;
+use crate::campaign_cli::SpecCliArgs;
 
 /// Default daemon address shared by `serve`, `submit` and `watch`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4857";
-
-/// Campaign-spec knobs shared by `repro submit` and `repro campaign`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecCliArgs {
-    /// Circular wafer diameter, in dies.
-    pub diameter: usize,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Disable solver warm starting.
-    pub cold: bool,
-    /// Device-evaluation bypass (`--no-bypass` clears it).
-    pub bypass: bool,
-    /// Deterministic measurement corruption.
-    pub faults: FaultSpec,
-    /// Per-corner retry budget override.
-    pub retries: Option<u32>,
-    /// Pooled robust-fit fallback.
-    pub robust: bool,
-}
-
-impl Default for SpecCliArgs {
-    fn default() -> Self {
-        SpecCliArgs {
-            diameter: 14,
-            seed: 2002,
-            cold: false,
-            bypass: true,
-            faults: FaultSpec::none(),
-            retries: None,
-            robust: true,
-        }
-    }
-}
-
-impl SpecCliArgs {
-    /// Builds the campaign spec exactly as `repro campaign` does.
-    #[must_use]
-    pub fn build(&self) -> CampaignSpec {
-        let mut spec = CampaignSpec::paper_default(WaferMap::circular(self.diameter), self.seed);
-        spec.warm_start = !self.cold;
-        spec.bypass = self.bypass;
-        spec.faults = self.faults;
-        spec.robust = self.robust;
-        if let Some(budget) = self.retries {
-            spec.retry_budget = budget;
-        }
-        spec
-    }
-
-    /// Tries to consume one spec flag; `Ok(true)` if `arg` was one.
-    fn eat(&mut self, arg: &str, mut next: impl FnMut() -> Option<String>) -> Result<bool, String> {
-        let value = |flag: &str, v: Option<String>| -> Result<String, String> {
-            v.ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg {
-            "--dies" => {
-                let v = value("--dies", next())?;
-                let n: usize = v.parse().map_err(|_| format!("bad --dies value {v:?}"))?;
-                if n == 0 {
-                    return Err("--dies must be positive".to_string());
-                }
-                self.diameter = diameter_for_dies(n);
-            }
-            "--diameter" => {
-                let v = value("--diameter", next())?;
-                self.diameter = v
-                    .parse()
-                    .map_err(|_| format!("bad --diameter value {v:?}"))?;
-                if self.diameter == 0 {
-                    return Err("--diameter must be positive".to_string());
-                }
-            }
-            "--seed" => {
-                let v = value("--seed", next())?;
-                self.seed = v.parse().map_err(|_| format!("bad --seed value {v:?}"))?;
-            }
-            "--cold" => self.cold = true,
-            "--no-bypass" => self.bypass = false,
-            "--faults" => {
-                let v = value("--faults", next())?;
-                self.faults = FaultSpec::parse(&v).map_err(|e| e.detail)?;
-            }
-            "--retries" => {
-                let v = value("--retries", next())?;
-                self.retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --retries value {v:?}"))?,
-                );
-            }
-            "--no-robust" => self.robust = false,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
 
 /// Parsed `repro serve` arguments.
 #[derive(Debug, Clone)]
@@ -284,8 +189,8 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitCliArgs, String> {
                 return Err(format!(
                     "unknown submit argument {other:?} \
                      (usage: submit [--addr HOST:PORT] [--tenant T] [--label L] [--out DIR] \
-                     [--no-wait] [--dies N | --diameter D] [--seed S] [--cold] [--no-bypass] \
-                     [--faults SPEC] [--retries N] [--no-robust])"
+                     [--no-wait] [--dies N | --diameter D] [--seed S] [--faults SPEC] \
+                     [--retries N] [--no-robust] [--adaptive | --exhaustive])"
                 ));
             }
         }
@@ -461,6 +366,7 @@ pub fn run_watch(args: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icvbe_instrument::faults::FaultSpec;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -554,12 +460,47 @@ mod tests {
         assert!(parse_submit_args(&sv(&["--dies", "0"])).is_err());
     }
 
+    /// Every spec flag, alone: `campaign` and `submit` must build equal
+    /// specs, and each flag must actually move the spec off the default.
     #[test]
-    fn submit_spec_matches_campaign_spec() {
-        let a = parse_submit_args(&sv(&["--diameter", "4", "--seed", "42", "--cold"])).unwrap();
-        let mut expected = CampaignSpec::paper_default(WaferMap::circular(4), 42);
-        expected.warm_start = false;
-        assert_eq!(a.spec.build(), expected);
+    fn every_spec_flag_builds_the_same_spec_for_campaign_and_submit() {
+        let table: [&[&str]; 9] = [
+            &["--dies", "40"],
+            &["--diameter", "4"],
+            &["--seed", "42"],
+            &["--faults", "heavy"],
+            &["--faults", "noise=0.2,drop=0.05"],
+            &["--retries", "5"],
+            &["--no-robust"],
+            &["--adaptive"],
+            &[
+                "--diameter",
+                "3",
+                "--seed",
+                "9",
+                "--faults",
+                "light",
+                "--adaptive",
+            ],
+        ];
+        let default = SpecCliArgs::default().build();
+        for args in table {
+            let campaign = crate::campaign_cli::parse_args(&sv(args)).unwrap();
+            let submit = parse_submit_args(&sv(args)).unwrap();
+            assert_eq!(campaign.spec.build(), submit.spec.build(), "{args:?}");
+            assert_ne!(submit.spec.build(), default, "{args:?} changed nothing");
+        }
+        // `--exhaustive` is the explicit default, and the conflict is
+        // rejected by both subcommands.
+        let ex = parse_submit_args(&sv(&["--exhaustive"])).unwrap();
+        assert_eq!(ex.spec.build(), default);
+        assert!(parse_submit_args(&sv(&["--adaptive", "--exhaustive"])).is_err());
+        assert!(crate::campaign_cli::parse_args(&sv(&["--exhaustive", "--adaptive"])).is_err());
+        // The retired solver switches are unknown to submit as well.
+        for flag in ["--cold", "--no-bypass"] {
+            let err = parse_submit_args(&sv(&[flag])).unwrap_err();
+            assert!(err.starts_with("unknown submit argument"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -610,6 +551,38 @@ mod tests {
         let a = std::fs::read(out.join("campaign_aggregate.json")).unwrap();
         let b = std::fs::read(out2.join("campaign_aggregate.json")).unwrap();
         assert_eq!(a, b, "watch must replay the identical artifacts");
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_adaptive_lot_equals_the_one_shot_adaptive_run() {
+        let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").unwrap();
+        let addr = daemon.local_addr().to_string();
+        let dir = std::env::temp_dir().join("icvbe_serve_cli_adaptive_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let served = dir.join("served");
+        let oneshot = dir.join("oneshot");
+        let spec_flags = ["--diameter", "4", "--seed", "2002", "--adaptive"];
+        let mut submit = sv(&["--addr", &addr, "--out", served.to_str().unwrap()]);
+        submit.extend(sv(&spec_flags));
+        run_submit(&submit).unwrap();
+        let mut campaign = sv(&["--threads", "2", "--out", oneshot.to_str().unwrap()]);
+        campaign.extend(sv(&spec_flags));
+        crate::campaign_cli::run_cli(&campaign).unwrap();
+        for name in [
+            "campaign_aggregate.json",
+            "campaign_aggregate.csv",
+            "campaign_quarantine.json",
+            "campaign_quarantine.csv",
+        ] {
+            let a = std::fs::read(served.join(name)).unwrap();
+            let b = std::fs::read(oneshot.join(name)).unwrap();
+            assert_eq!(a, b, "{name} differs between served and one-shot");
+        }
+        // The lot really ran adaptively: some corners were skipped.
+        let csv = std::fs::read_to_string(served.join("campaign_aggregate.csv")).unwrap();
+        assert!(csv.contains("skipped"), "{csv}");
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

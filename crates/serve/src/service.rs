@@ -535,9 +535,6 @@ impl Inner {
             resume: Some(task.aggregate),
             symbolic_cache: Some(Arc::clone(&self.cache)),
             counters: Some(Arc::clone(&task.counters)),
-            // Auto lane selection: slices batch whenever the job's spec
-            // allows it; accepted bits are identical either way.
-            batch: 0,
             chaos: self.config.chaos,
             chaos_seed: self.config.chaos_seed,
             budget: self.config.budget,

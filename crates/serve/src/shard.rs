@@ -29,9 +29,9 @@
 //!
 //! | direction | line |
 //! |---|---|
-//! | supervisor → worker | `{"cmd":"shard_run","version":1,"shard":i,"start_die":a,"end_die":b,"threads":t,"batch":n,"die_iter_budget":x,"die_wall_ms":y,"libm_exp":0|1,"spec":{...}}` |
+//! | supervisor → worker | `{"cmd":"shard_run","version":2,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
-//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v1"`) |
+//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v2"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
 //!
 //! A worker that exits without a terminal line (crash, kill, OOM) is
@@ -57,7 +57,7 @@ use icvbe_campaign::wire::{spec_fingerprint, spec_from_value, spec_to_json};
 use icvbe_campaign::{run_campaign_streaming, CampaignRun, CampaignSpec, StreamOptions};
 
 /// Version tag of the supervisor↔worker request line.
-pub const SHARD_PROTOCOL_VERSION: u32 = 1;
+pub const SHARD_PROTOCOL_VERSION: u32 = 2;
 
 /// Environment variable naming a shard index that must abort mid-slice
 /// (fault-injection hook for supervisor tests; unset = inert).
@@ -144,16 +144,8 @@ pub struct ShardOptions {
     pub shards: usize,
     /// Worker threads **per shard**.
     pub threads: usize,
-    /// Batched-solve lane request forwarded to every worker (see
-    /// `RunOptions::batch`).
-    pub batch: usize,
     /// Per-die solve containment budget forwarded to every worker.
     pub budget: DieBudget,
-    /// Route worker exponentials through libm instead of the in-tree
-    /// `vexp` kernel (the benchmarking ablation). Changes the accepted
-    /// bits, so every worker must agree with the supervisor — the flag
-    /// rides the request line.
-    pub libm_exp: bool,
     /// Worker executable; `None` (the default) re-invokes the current
     /// executable with the `shard-worker` subcommand.
     pub worker_exe: Option<PathBuf>,
@@ -164,9 +156,7 @@ impl Default for ShardOptions {
         ShardOptions {
             shards: 1,
             threads: 1,
-            batch: 0,
             budget: DieBudget::default(),
-            libm_exp: false,
             worker_exe: None,
         }
     }
@@ -203,18 +193,15 @@ pub fn shard_request_line(
         concat!(
             "{{\"cmd\":\"shard_run\",\"version\":{version},\"shard\":{shard},",
             "\"start_die\":{start},\"end_die\":{end},\"threads\":{threads},",
-            "\"batch\":{batch},\"die_iter_budget\":{iters},",
-            "\"die_wall_ms\":{wall},\"libm_exp\":{libm},\"spec\":{spec}}}"
+            "\"die_iter_budget\":{iters},\"die_wall_ms\":{wall},\"spec\":{spec}}}"
         ),
         version = SHARD_PROTOCOL_VERSION,
         shard = shard,
         start = range.0,
         end = range.1,
         threads = opts.threads,
-        batch = opts.batch,
         iters = opts.budget.max_newton_iterations,
         wall = opts.budget.max_wall_ms,
-        libm = u8::from(opts.libm_exp),
         spec = spec_to_json(spec),
     )
 }
@@ -453,15 +440,10 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
     let start_die = field("start_die")? as usize;
     let end_die = field("end_die")? as usize;
     let threads = field("threads")?.max(1) as usize;
-    let batch = field("batch")? as usize;
     let budget = DieBudget {
         max_newton_iterations: field("die_iter_budget")?,
         max_wall_ms: field("die_wall_ms")?,
     };
-    // The exp-backend ablation changes the accepted bits, so the worker
-    // must switch before it solves anything or its partial would fail the
-    // supervisor's cross-shard byte-identity contract.
-    icvbe_numerics::vexp::set_libm_backend(field("libm_exp")? != 0);
     let spec_v = v
         .get("spec")
         .ok_or_else(|| bad("request must carry a \"spec\" object"))?;
@@ -492,7 +474,6 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         start_die,
         end_die: Some(end_die),
         counters: Some(Arc::clone(&counters)),
-        batch,
         budget,
         ..StreamOptions::default()
     };
@@ -563,8 +544,6 @@ mod tests {
         let opts = ShardOptions {
             shards: 2,
             threads: 3,
-            batch: 4,
-            libm_exp: true,
             ..ShardOptions::default()
         };
         let line = shard_request_line(&spec, 1, (2, 4), &opts);
@@ -574,7 +553,7 @@ mod tests {
         assert_eq!(v.get("start_die").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("end_die").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("threads").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("libm_exp").and_then(Json::as_u64), Some(1));
+        assert!(v.get("batch").is_none() && v.get("libm_exp").is_none());
         let decoded = spec_from_value(v.get("spec").unwrap()).unwrap();
         assert_eq!(decoded, spec);
     }

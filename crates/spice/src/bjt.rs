@@ -391,8 +391,8 @@ impl Bjt {
     ) -> (f64, f64, f64, f64, f64, f64) {
         // Junction exponentials (limited). Leakage limexps are computed
         // only when their saturation current is live — the combine stage
-        // never reads them otherwise, which is what lets the batched
-        // kernel evaluate them unconditionally with identical results.
+        // never reads them otherwise, which is what lets the eval miss
+        // path evaluate them unconditionally with identical results.
         let ef = limexp(vbe / m.vt_f);
         let er = limexp(vbc / m.vt_r);
         let ee = if m.ise > 0.0 {
@@ -409,11 +409,12 @@ impl Bjt {
     }
 }
 
-/// Post-exponential Gummel-Poon combine, shared bit-for-bit by the scalar
-/// and lane-batched evaluation paths. `ef`/`er` are the `(value, slope)`
-/// pairs of the transport junction limexps; `ee`/`ec` the leakage ones,
-/// read only when `ise`/`isc` are positive — a batched caller may pass
-/// unconditionally computed values for dead leakage diodes.
+/// Post-exponential Gummel-Poon combine, shared bit-for-bit by
+/// [`Bjt::gummel_poon`] and the eval miss path [`Bjt::eval_slots`].
+/// `ef`/`er` are the `(value, slope)` pairs of the transport junction
+/// limexps; `ee`/`ec` the leakage ones, read only when `ise`/`isc` are
+/// positive — a caller may pass unconditionally computed values for dead
+/// leakage diodes.
 ///
 /// Returns `(ic, ib, dic/dvbe, dic/dvbc, dib/dvbe, dib/dvbc)`.
 #[allow(clippy::similar_names)]
@@ -532,12 +533,6 @@ impl Bjt {
         Volt::new(m.vt_f * (ic.value() / m.is + 1.0).ln())
     }
 
-    /// Collector, base and emitter node ids — the gather indices a batched
-    /// driver needs to read terminal voltages out of a solution vector.
-    pub(crate) fn terminals(&self) -> (NodeId, NodeId, NodeId) {
-        (self.collector, self.base, self.emitter)
-    }
-
     /// The full per-temperature model slot array, exactly as the stamp
     /// path caches it: the Gummel-Poon card via
     /// [`BjtAtTemperature::to_slots`] plus the substrate parasitic's
@@ -554,14 +549,12 @@ impl Bjt {
 
     /// The full eval-cache payload at `(vbe, vbc)` from cached model
     /// slots: `[ic, ib, y11, y12, y21, y22, i_raw, g]`. This is the eval
-    /// miss path of [`Element::stamp`], shared with the batched kernel so
-    /// both produce identical bits.
+    /// miss path of [`Element::stamp`].
     ///
     /// All five junction sites run through one fixed-width
-    /// [`limexp_lanes`] block — the same shape [`eval_bjt_lanes`] uses
-    /// across lanes, vectorized *within* a single device here, so even
-    /// the scalar miss path pays one SIMD exponential pass instead of
-    /// up to five serial scalar calls. Dead leakage/substrate sites
+    /// [`limexp_lanes`] block, vectorized *within* the device, so the
+    /// miss path pays one SIMD exponential pass instead of up to five
+    /// serial scalar calls. Dead leakage/substrate sites
     /// compute whatever their (possibly `inf`/`NaN`) argument yields;
     /// the combine never reads them, mirroring [`Bjt::gummel_poon`]'s
     /// conditionals bit-for-bit.
@@ -594,95 +587,10 @@ impl Bjt {
     }
 }
 
-/// Substrate-parasitic combine shared by the scalar and batched eval
-/// paths: `(i_raw, g)` from the junction limexp pair.
+/// Substrate-parasitic combine of the eval miss path: `(i_raw, g)` from
+/// the junction limexp pair.
 fn substrate_combine(is: f64, vt: f64, (e, de): (f64, f64)) -> (f64, f64) {
     (is * (e - 1.0), is * de / vt)
-}
-
-/// Reusable lane-length scratch for [`eval_bjt_lanes`]: argument and
-/// value/slope arrays for the five limexp sites (forward, reverse, BE
-/// leakage, BC leakage, substrate). Owned by the batch workspace so
-/// steady-state batched evaluation allocates nothing.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct BjtLaneScratch {
-    args: [Vec<f64>; 5],
-    vals: [Vec<f64>; 5],
-    slopes: [Vec<f64>; 5],
-}
-
-impl BjtLaneScratch {
-    pub(crate) fn ensure(&mut self, lanes: usize) {
-        for buf in self
-            .args
-            .iter_mut()
-            .chain(self.vals.iter_mut())
-            .chain(self.slopes.iter_mut())
-        {
-            buf.resize(lanes, 0.0);
-        }
-    }
-}
-
-/// Lane-batched BJT evaluation: for every lane with a device, computes
-/// the same `[f64; DEVICE_EVAL_SLOTS]` payload as [`Bjt::eval_slots`] —
-/// bit-for-bit — with the junction exponentials evaluated across lanes
-/// through [`limexp_lanes`] (the SoA hot loop) and the polynomial tail
-/// combined per lane through the shared [`gummel_poon_combine`].
-///
-/// Lanes whose `devs` slot is `None` are skipped; their `out` slot is
-/// untouched. Dead leakage/substrate sites still run through the lane
-/// exponential with whatever argument falls out (possibly `inf`/`NaN`
-/// from a zero thermal-voltage slot) — the combine never reads those
-/// lanes' values, mirroring the scalar conditionals.
-pub(crate) fn eval_bjt_lanes(
-    devs: &[Option<&Bjt>],
-    slots: &[[f64; DEVICE_TEMP_SLOTS]],
-    vbe: &[f64],
-    vbc: &[f64],
-    scratch: &mut BjtLaneScratch,
-    out: &mut [[f64; DEVICE_EVAL_SLOTS]],
-) {
-    let lanes = devs.len();
-    debug_assert_eq!(slots.len(), lanes);
-    debug_assert_eq!(vbe.len(), lanes);
-    debug_assert_eq!(vbc.len(), lanes);
-    debug_assert_eq!(out.len(), lanes);
-    scratch.ensure(lanes);
-    for l in 0..lanes {
-        if devs[l].is_none() {
-            for site in 0..5 {
-                scratch.args[site][l] = 0.0;
-            }
-            continue;
-        }
-        let m = BjtAtTemperature::from_slots(&slots[l]);
-        scratch.args[0][l] = vbe[l] / m.vt_f;
-        scratch.args[1][l] = vbc[l] / m.vt_r;
-        scratch.args[2][l] = vbe[l] / m.vt_e;
-        scratch.args[3][l] = vbc[l] / m.vt_c;
-        scratch.args[4][l] = vbe[l] / slots[l][SLOT_SUB_VT];
-    }
-    for site in 0..5 {
-        limexp_lanes(
-            &scratch.args[site],
-            &mut scratch.vals[site],
-            &mut scratch.slopes[site],
-        );
-    }
-    for l in 0..lanes {
-        let Some(dev) = devs[l] else { continue };
-        let m = BjtAtTemperature::from_slots(&slots[l]);
-        let site = |s: usize| (scratch.vals[s][l], scratch.slopes[s][l]);
-        let (ic, ib, y11, y12, y21, y22) =
-            gummel_poon_combine(vbe[l], vbc[l], &m, site(0), site(1), site(2), site(3));
-        let (i_raw, g) = if dev.substrate.is_some() {
-            substrate_combine(slots[l][SLOT_SUB_IS], slots[l][SLOT_SUB_VT], site(4))
-        } else {
-            (0.0, 0.0)
-        };
-        out[l] = [ic, ib, y11, y12, y21, y22, i_raw, g];
-    }
 }
 
 impl Element for Bjt {

@@ -61,9 +61,6 @@ pub struct DcOptions {
     pub gmin_start: f64,
     /// Number of source-stepping ramp points in the last-resort strategy.
     pub source_steps: usize,
-    /// Factor through the frozen symbolic plan once the assembly has
-    /// recorded one (bit-identical to dense LU; disable for ablations).
-    pub sparse: bool,
     /// Device-evaluation bypass policy.
     pub bypass: BypassOptions,
 }
@@ -85,7 +82,6 @@ impl Default for DcOptions {
             gmin_floor: 1e-12,
             gmin_start: 1e-3,
             source_steps: 10,
-            sparse: true,
             bypass: BypassOptions::default(),
         }
     }

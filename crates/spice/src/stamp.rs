@@ -118,40 +118,6 @@ impl Default for DeviceSlot {
     }
 }
 
-impl DeviceSlot {
-    /// Cached model values if the slot was last refreshed at exactly this
-    /// key — [`StampContext::cached_model`] semantics for a batched
-    /// prewarm pass that addresses slots directly.
-    pub(crate) fn model_at(&self, key: u64) -> Option<[f64; DEVICE_TEMP_SLOTS]> {
-        (self.temp_valid && self.temp_key == key).then_some(self.temp)
-    }
-
-    /// Stores fresh model values, invalidating the dependent eval layer —
-    /// [`StampContext::store_model`] semantics.
-    pub(crate) fn put_model(&mut self, key: u64, values: [f64; DEVICE_TEMP_SLOTS]) {
-        self.temp_key = key;
-        self.temp = values;
-        self.temp_valid = true;
-        self.eval_valid = false;
-    }
-
-    /// Whether an evaluation at `inputs` would hit the exact-bit cache.
-    /// Prewarm skips lanes that already hold the answer.
-    pub(crate) fn eval_hit(&self, inputs: [f64; 2]) -> bool {
-        self.eval_valid && [inputs[0].to_bits(), inputs[1].to_bits()] == self.eval_key
-    }
-
-    /// Stores evaluation outputs as the new exact-bit anchor —
-    /// [`StampContext::store_eval`] semantics. Exact-bit prewarm is always
-    /// sound: the device equations are pure functions, so the later stamp
-    /// pass would recompute identical bits on a miss.
-    pub(crate) fn put_eval(&mut self, inputs: [f64; 2], outputs: [f64; DEVICE_EVAL_SLOTS]) {
-        self.eval_key = [inputs[0].to_bits(), inputs[1].to_bits()];
-        self.eval = outputs;
-        self.eval_valid = true;
-    }
-}
-
 /// Tolerances under which a device evaluation may be reused for nearby
 /// controlling voltages (inactive ⇒ only exact-bit reuse).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,7 +141,6 @@ impl BypassTolerance {
 #[derive(Debug, Default)]
 pub(crate) struct StampCounters {
     pub(crate) device_evals: Cell<u64>,
-    pub(crate) lane_evals: Cell<u64>,
     pub(crate) device_reuses: Cell<u64>,
     pub(crate) bypass_hits: Cell<u64>,
     pub(crate) restamp_incremental: Cell<u64>,
@@ -186,7 +151,6 @@ impl StampCounters {
     pub(crate) fn take(&self) -> StampEffort {
         StampEffort {
             device_evals: self.device_evals.take(),
-            lane_evals: self.lane_evals.take(),
             device_reuses: self.device_reuses.take(),
             bypass_hits: self.bypass_hits.take(),
             restamp_incremental: self.restamp_incremental.take(),
@@ -205,11 +169,6 @@ fn bump(cell: &Cell<u64>) {
 pub struct StampEffort {
     /// Full device evaluations performed (model equations run).
     pub device_evals: u64,
-    /// The subset of [`StampEffort::device_evals`] computed by the
-    /// lane-array device kernel of the batched driver (each also counts
-    /// in `device_evals`; `device_evals - lane_evals` is the scalar
-    /// in-stamp share).
-    pub lane_evals: u64,
     /// Evaluations skipped because the controlling voltages matched the
     /// cached anchor bit-for-bit (always sound).
     pub device_reuses: u64,

@@ -6,8 +6,8 @@
 //! [`SolveWorkspace`], so the frozen symbolic factorization, the
 //! incremental restamping plan, and the device caches survive from point
 //! to point exactly as they do inside a campaign die. The solve path is
-//! a pure speed knob: results are bitwise identical whether the sparse
-//! plan or the dense fallback ran, and whether device bypass was on.
+//! a pure speed knob: results are bitwise identical to dense-LU solves on
+//! fresh assemblies, and whether device bypass was on.
 
 use icvbe_numerics::lu::LuFactors;
 use icvbe_numerics::newton::NonlinearSystem;
@@ -312,24 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_paths_are_bit_identical() {
+    fn sparse_sweep_matches_dense_first_solves_bitwise() {
         // The frozen symbolic plan kicks in from the second point of the
-        // sparse sweep; every point must still match the dense fallback
-        // bit for bit.
+        // sweep. The oracle re-solves every point on a fresh assembly,
+        // which has no plan yet and so factors dense, seeded from its own
+        // previous point: every point must match bit for bit.
         let (c, _) = pnp_under_bias();
         let temps = temperature_grid(Kelvin::new(248.15), Kelvin::new(348.15), 7);
-        let sparse = DcOptions {
-            sparse: true,
-            ..DcOptions::default()
-        };
-        let dense = DcOptions {
-            sparse: false,
-            ..DcOptions::default()
-        };
-        let a = temperature_sweep(&c, &temps, &sparse).unwrap();
-        let b = temperature_sweep(&c, &temps, &dense).unwrap();
-        for (i, (pa, pb)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(pa.solution(), pb.solution(), "point {i} diverged");
+        let opts = DcOptions::default();
+        let swept = temperature_sweep(&c, &temps, &opts).unwrap();
+        let mut warm: Option<Vec<f64>> = None;
+        for (i, &t) in temps.iter().enumerate() {
+            let assembly = CircuitAssembly::new(&c).unwrap();
+            assert!(assembly.symbolic_plan().is_none());
+            let mut ws = SolveWorkspace::new();
+            solve_dc_with(&c, &assembly, t, &opts, warm.as_deref(), &mut ws).unwrap();
+            assert_eq!(swept[i].solution(), ws.solution(), "point {i} diverged");
+            warm = Some(ws.solution().to_vec());
         }
     }
 

@@ -180,19 +180,6 @@ impl CircuitAssembly {
     pub fn branch_bases(&self) -> &[usize] {
         &self.branch_bases
     }
-
-    /// Direct per-element device-slot access for the batched prewarm pass
-    /// (same thread only, like every other use of the assembly). Slot `i`
-    /// belongs to element `i` of the circuit this assembly was built for.
-    pub(crate) fn device_slots_mut(&self) -> std::cell::RefMut<'_, Vec<DeviceSlot>> {
-        self.device_slots.borrow_mut()
-    }
-
-    /// The live stamping-effort counters, so a batched prewarm pass can
-    /// book its evaluations exactly like the stamp path would.
-    pub(crate) fn stamp_counters(&self) -> &StampCounters {
-        &self.counters
-    }
 }
 
 /// How a [`CircuitSystem`] holds its assembly: built on the spot, or

@@ -50,9 +50,6 @@ pub struct SolveStats {
     pub ladder_exhausted: u64,
     /// Full device evaluations performed.
     pub device_evals: u64,
-    /// The subset of [`SolveStats::device_evals`] computed by the
-    /// lane-array device kernel of the batched driver.
-    pub lane_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
     /// Device evaluations skipped by the tolerance bypass.
@@ -61,12 +58,6 @@ pub struct SolveStats {
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element.
     pub restamp_full: u64,
-    /// Warm solves completed through the lane-batched driver
-    /// ([`crate::batch::solve_dc_batch`]).
-    pub batched_solves: u64,
-    /// Batched solve attempts that retired this lane to the scalar path
-    /// (factor failure, divergence, or a non-finite residual).
-    pub lane_retires: u64,
 }
 
 impl SolveStats {
@@ -134,7 +125,6 @@ impl SolveWorkspace {
 pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
     let effort = assembly.take_stamp_effort();
     ws.stats.device_evals += effort.device_evals;
-    ws.stats.lane_evals += effort.lane_evals;
     ws.stats.device_reuses += effort.device_reuses;
     ws.stats.bypass_hits += effort.bypass_hits;
     ws.stats.restamp_incremental += effort.restamp_incremental;
@@ -236,8 +226,8 @@ pub fn solve_dc_with(
     // assembly runs its first solve through dense LU and binds the frozen
     // factorization from the second solve on (bitwise identical results).
     match assembly.symbolic_plan() {
-        Some(plan) if options.sparse => ws.newton.use_sparse_plan(&plan),
-        _ => ws.newton.use_dense(),
+        Some(plan) => ws.newton.use_sparse_plan(&plan),
+        None => ws.newton.use_dense(),
     }
     let n = assembly.dimension();
     ws.ensure(n);
@@ -560,13 +550,10 @@ mod tests {
             ladder_success: [1, 2, 0, 0],
             ladder_exhausted: 0,
             device_evals: 42,
-            lane_evals: 7,
             device_reuses: 9,
             bypass_hits: 4,
             restamp_incremental: 11,
             restamp_full: 3,
-            batched_solves: 0,
-            lane_retires: 0,
         };
         let taken = stats.take();
         assert_eq!(taken.solves, 3);

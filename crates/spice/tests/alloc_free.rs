@@ -8,12 +8,12 @@
 //!
 //! The test lives in its own integration-test binary so the global
 //! allocator hook cannot interfere with (or be confused by) allocations
-//! from unrelated tests. Counting is gated on a thread-local flag, so the
-//! test harness's own threads never pollute the counters.
+//! from unrelated tests. The flag and the counters are thread-local, so
+//! tests running in parallel never pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 use icvbe_spice::bjt::{Bjt, BjtParams, Polarity};
 use icvbe_spice::element::{CurrentSource, Resistor};
@@ -23,25 +23,27 @@ use icvbe_spice::system::CircuitAssembly;
 use icvbe_spice::workspace::{solve_dc_with, SolveWorkspace};
 use icvbe_units::{Ampere, Kelvin, Ohm};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-
+// Per-thread counters: the harness runs tests on parallel threads, and a
+// process-wide count would charge one test's allocations to another.
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_enabled() -> bool {
-    // `try_with` so the allocator stays safe during TLS teardown.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+/// Counts one event on this thread while counting is enabled. `try_with`
+/// so the allocator stays safe during TLS teardown.
+fn bump(counter: &'static LocalKey<Cell<u64>>) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_enabled() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
@@ -50,9 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_enabled() {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&REALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -61,18 +61,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Runs `f` with allocation counting enabled on this thread and returns
-/// `(allocations, reallocations)` attributed to it.
+/// `(allocations, reallocations)` made by this thread inside it.
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let r0 = REALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|c| c.set(0));
+    REALLOCS.with(|c| c.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        REALLOCS.load(Ordering::Relaxed) - r0,
-        out,
-    )
+    (ALLOCS.with(Cell::get), REALLOCS.with(Cell::get), out)
 }
 
 /// A bandgap-flavoured nonlinear cell: two mismatched diode-connected
@@ -176,85 +172,6 @@ fn steady_state_bypassed_solves_do_not_allocate() {
     let stats = ws.stats.take();
     assert!(stats.restamp_incremental > 0, "{stats:?}");
     assert!(stats.device_reuses > 0, "{stats:?}");
-}
-
-#[test]
-fn steady_state_batched_solves_do_not_allocate() {
-    // The lane-parallel driver extends the same contract: once each
-    // lane's workspace has armed its frozen sparse plan and the shared
-    // BatchWorkspace has been sized by a first batched call, lockstep
-    // solves run entirely out of the lane-strided buffers.
-    use icvbe_spice::batch::{solve_dc_batch, BatchWorkspace, LaneCtx, LaneOutcome};
-
-    const LANES: usize = 4;
-    let circuits: [Circuit; LANES] = std::array::from_fn(|_| test_cell());
-    let assemblies: [CircuitAssembly; LANES] =
-        std::array::from_fn(|l| CircuitAssembly::new(&circuits[l]).unwrap());
-    let mut opts = DcOptions::default();
-    opts.newton.polish = true;
-    let mut workspaces: [SolveWorkspace; LANES] = std::array::from_fn(|_| SolveWorkspace::new());
-
-    // Scalar warm-up per lane: size the buffers, record the stamp plan,
-    // arm and bind the frozen symbolic factorization, produce a warm seed.
-    let t0 = Kelvin::new(298.15);
-    let mut seeds: Vec<Vec<f64>> = Vec::new();
-    for ((c, a), ws) in circuits.iter().zip(&assemblies).zip(workspaces.iter_mut()) {
-        solve_dc_with(c, a, t0, &opts, None, ws).unwrap();
-        let seed: Vec<f64> = ws.solution().to_vec();
-        solve_dc_with(c, a, t0, &opts, Some(&seed), ws).unwrap();
-        seeds.push(seed);
-    }
-
-    // Batched warm-up: the first lockstep call sizes the lane-strided
-    // state and factor storage.
-    let mut batch = BatchWorkspace::new();
-    {
-        let ctx: [LaneCtx<'_>; LANES] = std::array::from_fn(|l| LaneCtx {
-            circuit: &circuits[l],
-            assembly: &assemblies[l],
-            temperature: t0,
-            seed: &seeds[l],
-        });
-        let mut ws_refs = workspaces.each_mut();
-        let mut outcomes = [LaneOutcome::Retired; LANES];
-        let entered = solve_dc_batch(&ctx, &opts, &mut ws_refs, &mut batch, &mut outcomes);
-        assert_eq!(entered, LANES, "warm-up batch must carry every lane");
-    }
-
-    // Steady state: lockstep rounds at changing temperatures must not
-    // touch the heap.
-    let (allocs, reallocs, entered_total) = count_allocations(|| {
-        let mut total = 0usize;
-        for &t in &[260.15, 298.15, 335.15] {
-            let ctx: [LaneCtx<'_>; LANES] = std::array::from_fn(|l| LaneCtx {
-                circuit: &circuits[l],
-                assembly: &assemblies[l],
-                temperature: Kelvin::new(t),
-                seed: &seeds[l],
-            });
-            let mut ws_refs = workspaces.each_mut();
-            let mut outcomes = [LaneOutcome::Retired; LANES];
-            total += solve_dc_batch(&ctx, &opts, &mut ws_refs, &mut batch, &mut outcomes);
-            assert!(
-                outcomes.iter().all(|o| matches!(o, LaneOutcome::Solved(_))),
-                "every lane must converge in lockstep"
-            );
-        }
-        total
-    });
-    assert_eq!(
-        entered_total,
-        3 * LANES,
-        "every lane must enter every round"
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state batched solves allocated {allocs} time(s)"
-    );
-    assert_eq!(
-        reallocs, 0,
-        "steady-state batched solves reallocated {reallocs} time(s)"
-    );
 }
 
 /// A small contaminated line-fit model: enough residuals to exercise the

@@ -44,12 +44,10 @@ grep -q '"ph":"B"' "$smoke_dir/campaign_trace.json"
 sed 's/ [0-9][0-9]*$/ 0/' "$smoke_dir/campaign_profile.folded" \
   | diff -u scripts/fixtures/trace_smoke.folded -
 
-echo "==> perf smoke: device bypass and incremental restamping are live and inert"
+echo "==> perf smoke: device bypass and incremental restamping are live"
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --out "$smoke_dir/bypass_on" > /dev/null
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --no-bypass --out "$smoke_dir/bypass_off" > /dev/null
-metrics="$smoke_dir/bypass_on/campaign_metrics.json"
+  --out "$smoke_dir/default" > /dev/null
+metrics="$smoke_dir/default/campaign_metrics.json"
 # The fast path must actually be running: tolerance bypasses taken,
 # incremental restamps dominating, and both derived rates nonzero.
 grep -q '"bypass_hits":0[,}]' "$metrics" && \
@@ -60,17 +58,22 @@ grep -q '"bypass_hit_rate":0[,}]' "$metrics" && \
   { echo "FAIL: zero bypass hit rate"; exit 1; }
 grep -q '"restamp_savings":0[,}]' "$metrics" && \
   { echo "FAIL: zero restamp savings"; exit 1; }
-# ... and inert: with bypass disabled no tolerance bypass may be taken,
-# and every frozen aggregate artifact is byte-identical either way.
-grep -q '"bypass_hits":0[,}]' "$smoke_dir/bypass_off/campaign_metrics.json" || \
-  { echo "FAIL: --no-bypass still took bypasses"; exit 1; }
-for f in campaign_aggregate.json campaign_aggregate.csv \
-         campaign_quarantine.json campaign_quarantine.csv; do
-  cmp "$smoke_dir/bypass_on/$f" "$smoke_dir/bypass_off/$f" || \
-    { echo "FAIL: $f differs with bypass on/off"; exit 1; }
+
+echo "==> retired-switch gate: removed solver flags are unknown arguments"
+for flag in "--batch 1" --cold --no-bypass --libm-exp; do
+  # shellcheck disable=SC2086 # "--batch 1" is two words on purpose
+  if ./target/release/repro campaign --diameter 2 $flag \
+    > /dev/null 2>"$smoke_dir/retired.err"; then
+    echo "FAIL: repro campaign accepted the retired flag $flag"; exit 1
+  else
+    code=$?
+  fi
+  [ "$code" -eq 1 ] || { echo "FAIL: $flag exited $code, want 1"; exit 1; }
+  grep -q 'unknown campaign argument' "$smoke_dir/retired.err" || \
+    { echo "FAIL: $flag did not report an unknown campaign argument"; exit 1; }
 done
 
-echo "==> vexp smoke: exp-kernel conformance tests (2-ulp, lane/slice bit-identity)"
+echo "==> vexp smoke: exp-kernel conformance tests (2-ulp, slice bit-identity)"
 cargo test -q -p icvbe-numerics --lib vexp
 
 echo "==> vexp grep gate: no libm exp in Newton/stamp hot paths"
@@ -83,37 +86,6 @@ for f in crates/spice/src/limexp.rs crates/spice/src/bjt.rs \
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' | grep -q '\.exp()'; then
     echo "FAIL: libm .exp() in hot-path file $f"; exit 1
   fi
-done
-
-echo "==> batch smoke: lockstep lane batching is live and bit-inert"
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --out "$smoke_dir/batch_auto" > /dev/null
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --batch 1 --out "$smoke_dir/batch_off" > /dev/null
-grep -q '"batched_solves":0[,}]' "$smoke_dir/batch_auto/campaign_metrics.json" && \
-  { echo "FAIL: default run took no batched solves"; exit 1; }
-grep -q '"batched_solves":0[,}]' "$smoke_dir/batch_off/campaign_metrics.json" || \
-  { echo "FAIL: --batch 1 still batched"; exit 1; }
-grep -q '"lane_evals":0[,}]' "$smoke_dir/batch_auto/campaign_metrics.json" && \
-  { echo "FAIL: default run fed no evals through the lane kernel"; exit 1; }
-for f in campaign_aggregate.json campaign_aggregate.csv \
-         campaign_quarantine.json campaign_quarantine.csv; do
-  cmp "$smoke_dir/batch_auto/$f" "$smoke_dir/batch_off/$f" || \
-    { echo "FAIL: $f differs batched vs --batch 1"; exit 1; }
-done
-
-echo "==> libm-exp smoke: ablation differs from vexp bits, invariant within itself"
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --libm-exp --out "$smoke_dir/libm_a" > /dev/null
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --libm-exp --batch 1 --shards 4 --out "$smoke_dir/libm_b" > /dev/null
-cmp -s "$smoke_dir/batch_auto/campaign_aggregate.json" \
-  "$smoke_dir/libm_a/campaign_aggregate.json" && \
-  { echo "FAIL: --libm-exp produced the vexp bits (backend not switching)"; exit 1; }
-for f in campaign_aggregate.json campaign_aggregate.csv \
-         campaign_quarantine.json campaign_quarantine.csv; do
-  cmp "$smoke_dir/libm_a/$f" "$smoke_dir/libm_b/$f" || \
-    { echo "FAIL: $f differs across batch/shards under --libm-exp"; exit 1; }
 done
 
 echo "==> serve smoke: streamed artifacts match one-shot bytes; kill -9 + resume"
@@ -204,7 +176,7 @@ grep -q '"die_panics":0[,}]' "$smoke_dir/chaos_t2/campaign_metrics.json" && \
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
   --chaos-seed 99 --out "$smoke_dir/chaos_off" > /dev/null
 for f in $frozen; do
-  cmp "$smoke_dir/bypass_on/$f" "$smoke_dir/chaos_off/$f" || \
+  cmp "$smoke_dir/default/$f" "$smoke_dir/chaos_off/$f" || \
     { echo "FAIL: $f differs with chaos plumbing idle"; exit 1; }
 done
 
@@ -276,7 +248,7 @@ echo "==> shard smoke: multi-process campaign is byte-identical; killed worker i
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
   --shards 4 --out "$smoke_dir/shard4" > /dev/null
 for f in $frozen; do
-  cmp "$smoke_dir/bypass_on/$f" "$smoke_dir/shard1/$f" || \
+  cmp "$smoke_dir/default/$f" "$smoke_dir/shard1/$f" || \
     { echo "FAIL: $f differs between in-process and 1-shard run"; exit 1; }
   cmp "$smoke_dir/shard1/$f" "$smoke_dir/shard4/$f" || \
     { echo "FAIL: $f differs between 1-shard and 4-shard run"; exit 1; }
@@ -296,10 +268,10 @@ grep -q 'shard worker 2 exited with code 3' "$smoke_dir/shard_killed.err" || \
 echo "==> adaptive smoke: probe corner bits match exhaustive, trailing corners skipped"
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
   --adaptive --out "$smoke_dir/adaptive" > /dev/null
-# bypass_on is the same spec run exhaustively; its first CSV data row is the
+# default is the same spec run exhaustively; its first CSV data row is the
 # probe corner. Adaptive appends a `skipped` column, so compare the shared
 # prefix of the probe row and demand full skips on the trailing corners.
-probe_ex="$(sed -n 2p "$smoke_dir/bypass_on/campaign_aggregate.csv")"
+probe_ex="$(sed -n 2p "$smoke_dir/default/campaign_aggregate.csv")"
 probe_ad="$(sed -n 2p "$smoke_dir/adaptive/campaign_aggregate.csv")"
 case "$probe_ad" in
   "$probe_ex"*) : ;;
