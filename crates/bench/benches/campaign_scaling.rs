@@ -131,11 +131,11 @@ fn bench_campaign_throughput(c: &mut Criterion) {
             println!(
                 "campaign_throughput/{mode}/threads/{threads:<2} median {median_ms:7.2} ms -> \
                  {dies_per_second:7.1} dies/s ({dies} dies, {} solves, {} Newton iters, \
-                 {} bypasses, {} evals)",
+                 {} evals, {} exact reuses)",
                 run.metrics.solver.solves,
                 run.metrics.solver.newton_iterations,
-                run.metrics.solver.bypass_hits,
                 run.metrics.solver.device_evals,
+                run.metrics.solver.device_reuses,
             );
             rows.push(Throughput {
                 mode,

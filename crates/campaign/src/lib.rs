@@ -83,5 +83,5 @@ pub use error::CampaignError;
 pub use spec::CampaignSpec;
 pub use taxonomy::FailureKind;
 pub use worker::{
-    run_campaign, run_campaign_streaming, run_campaign_with, CampaignRun, RunOptions, StreamOptions,
+    run_campaign, run_campaign_streaming, run_campaign_with, CampaignRun, StreamOptions,
 };

@@ -37,7 +37,7 @@ use crate::CampaignError;
 use std::sync::atomic::Ordering;
 
 /// Schema tag carried by every partial-aggregate document.
-pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v2";
+pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v3";
 
 /// One shard's complete output: fold state, counters and slice binding.
 #[derive(Debug)]
@@ -275,9 +275,11 @@ pub fn partial_from_json(text: &str) -> Result<PartialAggregate, CampaignError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::QuarantineRecord;
     use crate::spec::{CampaignSpec, WaferMap};
     use crate::wire::spec_fingerprint;
     use crate::worker::run_campaign;
+    use icvbe_numerics::rng::Xoshiro256PlusPlus;
 
     fn shard_partial(spec: &CampaignSpec, start: usize, end: usize) -> PartialAggregate {
         // Build a partial from a full run (the real shard path slices;
@@ -324,8 +326,8 @@ mod tests {
         let text = partial_to_json(&shard_partial(&spec, 0, 4));
         assert!(partial_from_json(&text.replace(PARTIAL_SCHEMA, "x")).is_err());
         // A document of the previous schema version is refused.
-        let v1 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v1");
-        assert!(partial_from_json(&v1).is_err());
+        let v2 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v2");
+        assert!(partial_from_json(&v2).is_err());
         // A flipped content byte trips the checksum.
         let mut flipped = text.clone().into_bytes();
         let at = text.find("\"start_die\"").unwrap() + 2;
@@ -348,5 +350,64 @@ mod tests {
         let adjacent = shard_partial(&spec, 2, 4);
         left.merge(adjacent).unwrap();
         assert_eq!((left.start_die, left.end_die), (0, 4));
+    }
+
+    /// Recomputes the content checksum of a (possibly mutated) document,
+    /// so a mutation reaches the decoder instead of the checksum gate.
+    /// Documents whose checksum field is itself damaged come back as-is.
+    fn rechecksum(text: &str) -> String {
+        const FIELD: &str = "\"checksum\":\"";
+        let Some(start) = text.find(FIELD) else {
+            return text.to_string();
+        };
+        let digits = start + FIELD.len();
+        let Some(tail) = text.get(digits + 16..digits + 18) else {
+            return text.to_string();
+        };
+        if tail != "\"," {
+            return text.to_string();
+        }
+        let mut h = fnv1a64(&text.as_bytes()[..start]);
+        for &b in &text.as_bytes()[digits + 18..] {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        format!("{}{h:016x}{}", &text[..digits], &text[digits + 16..])
+    }
+
+    /// Decodes `text`, failing the test with `what` if the decoder panics.
+    fn decode_without_panic(text: &str, what: &str) {
+        let result = std::panic::catch_unwind(|| partial_from_json(text).map(|_| ()));
+        assert!(result.is_ok(), "decoder panicked on {what}: {text}");
+    }
+
+    #[test]
+    fn decoder_answers_truncations_and_byte_flips_without_panicking() {
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(1);
+        let mut p = shard_partial(&spec, 0, 4);
+        p.aggregate.quarantine.push(QuarantineRecord {
+            die: 3,
+            row: 1,
+            col: 1,
+            corner: 0,
+            kind: FailureKind::ALL[0],
+            attempts: 2,
+        });
+        let text = partial_to_json(&p);
+        assert_eq!(rechecksum(&text), text);
+        assert!(partial_from_json(&text).is_ok());
+        for end in 0..text.len() {
+            decode_without_panic(&rechecksum(&text[..end]), &format!("prefix {end}"));
+        }
+        let mut rng = Xoshiro256PlusPlus::seeded(0x5eed_0f11_b175);
+        for _ in 0..256 {
+            let mut bytes = text.clone().into_bytes();
+            let at = (rng.next_u64() % bytes.len() as u64) as usize;
+            let mask = (rng.next_u64() % 255 + 1) as u8;
+            bytes[at] ^= mask;
+            let flipped = String::from_utf8_lossy(&bytes).into_owned();
+            decode_without_panic(&rechecksum(&flipped), &format!("flip {mask:#04x} at {at}"));
+        }
     }
 }

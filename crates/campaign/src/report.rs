@@ -379,7 +379,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"schema\":\"icvbe-campaign-metrics-v1\",\n",
+            "  \"schema\":\"icvbe-campaign-metrics-v2\",\n",
             "  \"threads\":{threads},\n",
             "  \"dies_started\":{started},\n",
             "  \"dies_completed\":{completed},\n",
@@ -391,8 +391,8 @@ pub fn metrics_json(run: &CampaignRun) -> String {
              \"newton_per_solve\":{npsolve},\"selfheat_iterations\":{selfheat},\
              \"warm_start_hits\":{hits},\"warm_start_misses\":{misses},\
              \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
-             \"device_reuses\":{devreuses},\"bypass_hits\":{byphits},\
-             \"bypass_hit_rate\":{byprate},\
+             \"device_reuses\":{devreuses},\"eval_reuse_rate\":{reuserate},\
+             \"polish_cap_hits\":{polcap},\"cluster_cap_hits\":{clucap},\
              \"restamp_incremental\":{rsincr},\"restamp_full\":{rsfull},\
              \"restamp_savings\":{rssave},\"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
@@ -423,8 +423,9 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         hitrate = num(m.solver.warm_hit_rate()),
         devevals = m.solver.device_evals,
         devreuses = m.solver.device_reuses,
-        byphits = m.solver.bypass_hits,
-        byprate = num(m.solver.bypass_hit_rate()),
+        reuserate = num(m.solver.eval_reuse_rate()),
+        polcap = m.solver.polish_cap_hits,
+        clucap = m.solver.cluster_cap_hits,
         rsincr = m.solver.restamp_incremental,
         rsfull = m.solver.restamp_full,
         rssave = num(m.solver.restamp_savings()),

@@ -14,11 +14,11 @@
 //! # Retired solver switches
 //!
 //! Specs once carried three solver speed switches: `warm_start`,
-//! `bypass` and `sparse`. The solver now always runs warm-started,
-//! bypass-gated and sparse, and the switches are gone. The encoder still
-//! writes each key as the constant `true`, so every spec keeps the
-//! canonical bytes, and therefore the fingerprint, it had before; existing
-//! checkpoints still resume. The decoder requires each key and answers
+//! `bypass` and `sparse`. The solver now always runs warm-started and
+//! sparse, the device bypass is deleted, and the switches are gone. The
+//! encoder still writes each key as the constant `true`, so every spec
+//! keeps the canonical bytes, and therefore the fingerprint, it had
+//! before; existing checkpoints still resume. The decoder requires each key and answers
 //! `false` with a typed error that names it.
 
 use icvbe_instrument::faults::FaultSpec;

@@ -50,41 +50,24 @@ pub struct CampaignRun {
     pub aggregate: CampaignAggregate,
     /// Counters, throughput and stage histograms of this particular run.
     pub metrics: CampaignMetrics,
-    /// Structured span trace, present iff [`RunOptions::trace`] was set.
+    /// Structured span trace, present iff [`StreamOptions::trace`] was set.
     /// Logical span order is deterministic (die-index order, per-die
     /// sequence numbers); only timestamps/worker ids vary run to run.
     pub trace: Option<Trace>,
 }
 
-/// Knobs of [`run_campaign_with`] beyond the spec itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunOptions {
+/// Knobs of [`run_campaign_with`] and the general streaming engine,
+/// [`run_campaign_streaming`], beyond the spec itself.
+///
+/// The defaults run the whole wafer from die 0 with a fresh aggregate,
+/// private counters, a run-local symbolic cache, no tracing, no chaos and
+/// no die budget — exactly [`run_campaign`].
+#[derive(Debug, Clone, Default)]
+pub struct StreamOptions {
     /// Capture a structured span trace of the run into
     /// [`CampaignRun::trace`]. Off by default; when off the tracing layer
     /// is a no-op sink — no events, no extra clock reads, no allocations
     /// on the die hot path.
-    pub trace: bool,
-    /// Environment-fault injection (the chaos layer). The worker consults
-    /// only the die-panic knob; write/socket faults act at the service
-    /// layer. The default ([`ChaosSpec::none`]) is a structural no-op:
-    /// no RNG is built and no verdict is drawn.
-    pub chaos: ChaosSpec,
-    /// Seed of the chaos plan; fault verdicts are a pure function of
-    /// `(chaos, chaos_seed, die index)` — thread-count independent.
-    pub chaos_seed: u64,
-    /// Per-die solve containment budget (see [`DieBudget`]). Zero fields
-    /// (the default) disable enforcement.
-    pub budget: DieBudget,
-}
-
-/// Knobs of the general streaming engine, [`run_campaign_streaming`].
-///
-/// The defaults reproduce [`RunOptions::default`] behaviour exactly:
-/// start at die 0 with a fresh aggregate, private counters, a run-local
-/// symbolic cache, no tracing.
-#[derive(Debug, Clone, Default)]
-pub struct StreamOptions {
-    /// Capture a structured span trace (see [`RunOptions::trace`]).
     pub trace: bool,
     /// First die index to run. Dies `0..start_die` are assumed already
     /// folded into [`StreamOptions::resume`].
@@ -107,11 +90,16 @@ pub struct StreamOptions {
     /// External counters to accumulate into instead of run-private ones —
     /// a service accumulates one job's counters across its slices.
     pub counters: Option<Arc<CampaignCounters>>,
-    /// Environment-fault injection (see [`RunOptions::chaos`]).
+    /// Environment-fault injection (the chaos layer). The worker consults
+    /// only the die-panic knob; write/socket faults act at the service
+    /// layer. The default ([`ChaosSpec::none`]) is a structural no-op:
+    /// no RNG is built and no verdict is drawn.
     pub chaos: ChaosSpec,
-    /// Seed of the chaos plan (see [`RunOptions::chaos_seed`]).
+    /// Seed of the chaos plan; fault verdicts are a pure function of
+    /// `(chaos, chaos_seed, die index)` — thread-count independent.
     pub chaos_seed: u64,
-    /// Per-die solve containment budget (see [`RunOptions::budget`]).
+    /// Per-die solve containment budget (see [`DieBudget`]). Zero fields
+    /// (the default) disable enforcement.
     pub budget: DieBudget,
 }
 
@@ -131,7 +119,7 @@ pub struct StreamOptions {
 /// Only [`CampaignError::InvalidSpec`]: per-die failures are binned as
 /// [`YieldBin::SolveFail`], never raised.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignRun, CampaignError> {
-    run_campaign_with(spec, threads, &RunOptions::default())
+    run_campaign_with(spec, threads, &StreamOptions::default())
 }
 
 /// Per-die counter fold: drains the worker's solver counters and records
@@ -191,13 +179,13 @@ fn fold_event(
     }
 }
 
-/// [`run_campaign`] with explicit [`RunOptions`]. With tracing requested,
-/// every worker's span buffer shares the campaign epoch, each die's
-/// records travel back with its outcome, and the fold thread merges them
-/// in **die-index order** — bracketed by a campaign root span and
-/// interleaved with one `queue_wait` span per die recording its
-/// reorder-buffer latency — so the logical event stream is identical at
-/// any thread count.
+/// [`run_campaign`] with explicit [`StreamOptions`], folding every die
+/// of the options' range. With tracing requested, every worker's span
+/// buffer shares the campaign epoch, each die's records travel back with
+/// its outcome, and the fold thread merges them in **die-index order** —
+/// bracketed by a campaign root span and interleaved with one
+/// `queue_wait` span per die recording its reorder-buffer latency — so
+/// the logical event stream is identical at any thread count.
 ///
 /// # Errors
 ///
@@ -205,16 +193,9 @@ fn fold_event(
 pub fn run_campaign_with(
     spec: &CampaignSpec,
     threads: usize,
-    options: &RunOptions,
+    options: &StreamOptions,
 ) -> Result<CampaignRun, CampaignError> {
-    let stream = StreamOptions {
-        trace: options.trace,
-        chaos: options.chaos,
-        chaos_seed: options.chaos_seed,
-        budget: options.budget,
-        ..StreamOptions::default()
-    };
-    run_campaign_streaming(spec, threads, &stream, |_, _| ControlFlow::Continue(()))
+    run_campaign_streaming(spec, threads, options, |_, _| ControlFlow::Continue(()))
 }
 
 /// The general streaming engine: runs dies `start_die..end_die` of `spec`,
@@ -776,13 +757,13 @@ mod tests {
     #[test]
     fn injected_die_panics_are_contained_and_thread_invariant() {
         let s = tiny_spec();
-        let options = RunOptions {
+        let options = StreamOptions {
             chaos: ChaosSpec {
                 die_panic_probability: 0.5,
                 ..ChaosSpec::none()
             },
             chaos_seed: 7,
-            ..RunOptions::default()
+            ..StreamOptions::default()
         };
         let one = run_campaign_with(&s, 1, &options).unwrap();
         let panicked = one.metrics.containment.die_panics;
@@ -809,9 +790,9 @@ mod tests {
         let zeroed = run_campaign_with(
             &s,
             2,
-            &RunOptions {
+            &StreamOptions {
                 chaos_seed: 7,
-                ..RunOptions::default()
+                ..StreamOptions::default()
             },
         )
         .unwrap();
@@ -823,12 +804,12 @@ mod tests {
     fn die_budget_retires_runaway_corners_deterministically() {
         let mut s = CampaignSpec::paper_default(WaferMap::full(3, 3), 11);
         s.corners.truncate(3);
-        let options = RunOptions {
+        let options = StreamOptions {
             budget: DieBudget {
                 max_newton_iterations: 1,
                 max_wall_ms: 0,
             },
-            ..RunOptions::default()
+            ..StreamOptions::default()
         };
         let one = run_campaign_with(&s, 1, &options).unwrap();
         // One Newton iteration can never finish a die's first corner
@@ -848,19 +829,19 @@ mod tests {
         assert_eq!(one.aggregate, eight.aggregate);
         // An unlimited budget is bit-identical to no budget at all.
         let plain = run_campaign(&s, 2).unwrap();
-        let unlimited = run_campaign_with(&s, 2, &RunOptions::default()).unwrap();
+        let unlimited = run_campaign_with(&s, 2, &StreamOptions::default()).unwrap();
         assert_eq!(plain.aggregate, unlimited.aggregate);
     }
 
     #[test]
     fn invalid_chaos_spec_is_rejected_before_any_thread_spawns() {
         let s = tiny_spec();
-        let options = RunOptions {
+        let options = StreamOptions {
             chaos: ChaosSpec {
                 die_panic_probability: 1.5,
                 ..ChaosSpec::none()
             },
-            ..RunOptions::default()
+            ..StreamOptions::default()
         };
         assert!(run_campaign_with(&s, 2, &options).is_err());
     }

@@ -6,7 +6,7 @@
 //! never perturbs the physics it observes.
 
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
-use icvbe_campaign::{run_campaign, run_campaign_with, CampaignRun, RunOptions};
+use icvbe_campaign::{run_campaign, run_campaign_with, CampaignRun, StreamOptions};
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_trace::{mask_nondeterministic, SpanKind, SpanPhase, Trace};
 
@@ -19,9 +19,9 @@ fn traced(spec: &CampaignSpec, threads: usize) -> CampaignRun {
     run_campaign_with(
         spec,
         threads,
-        &RunOptions {
+        &StreamOptions {
             trace: true,
-            ..RunOptions::default()
+            ..StreamOptions::default()
         },
     )
     .expect("traced campaign run")

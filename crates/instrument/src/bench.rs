@@ -20,7 +20,7 @@ use std::fmt;
 
 use icvbe_bandgap::pair::CompiledPair;
 use icvbe_core::meijer::{MeijerMeasurement, MeijerPoint};
-use icvbe_spice::solver::{BypassOptions, DcOptions};
+use icvbe_spice::solver::DcOptions;
 use icvbe_spice::workspace::{SolveStats, SolveWorkspace};
 use icvbe_thermal::chamber::ThermalChamber;
 use icvbe_thermal::network::ThermalPath;
@@ -99,8 +99,8 @@ pub struct PairCampaignPoint {
 /// How the compiled measurement path drives the circuit solver.
 ///
 /// There is one mode: every circuit solve after a pair's first is
-/// warm-started, escalated ladder rungs arm the device bypass, and every
-/// solve after the recording one factors through the frozen sparse plan.
+/// warm-started, and every solve after the recording one factors through
+/// the frozen sparse plan.
 /// The type has no fields and stays only because
 /// [`TestStructureBench::run_pair_campaign_with`] and
 /// [`TestStructureBench::campaign_dc_options_with`] take it, and callers
@@ -261,14 +261,11 @@ impl TestStructureBench {
     /// Solver options the hot path runs with: campaign defaults plus
     /// Newton polishing, which makes every solve's result bitwise
     /// independent of its starting point — the property that lets
-    /// warm-started sweeps reproduce cold-started ones exactly — and the
-    /// device bypass at its default tolerances, which the solver arms on
-    /// escalated ladder rungs only.
+    /// warm-started sweeps reproduce cold-started ones exactly.
     #[must_use]
     pub fn campaign_dc_options_with(_mode: SolveMode) -> DcOptions {
         let mut options = DcOptions::default();
         options.newton.polish = true;
-        options.bypass = BypassOptions::active();
         options
     }
 

@@ -101,25 +101,6 @@ pub trait NonlinearSystem {
         self.residual(x, f)?;
         self.jacobian(x, jac)
     }
-
-    /// Switches the system between its default (possibly approximate) and
-    /// an exact evaluation mode. Systems with tolerance-based fast paths —
-    /// the SPICE device bypass reuses a device's previous operating point
-    /// when its controlling voltages barely moved — must honor
-    /// `set_exact(true)` by evaluating every device fully, so the solver
-    /// can verify convergence and polish the accepted solution against the
-    /// *exact* system. Systems without fast paths ignore this (default).
-    fn set_exact(&self, exact: bool) {
-        let _ = exact;
-    }
-
-    /// Whether evaluations in the current mode may differ from exact-mode
-    /// evaluations (i.e. a tolerance fast path is armed and enabled).
-    /// The solver uses this to skip the exact re-verification entirely for
-    /// ordinary systems; the default is `false`.
-    fn residual_is_approximate(&self) -> bool {
-        false
-    }
 }
 
 /// Outcome of a converged Newton solve.
@@ -140,9 +121,29 @@ pub struct NewtonInfo {
     pub iterations: usize,
     /// Extra full-step iterations used by the polish phase.
     pub polish_iterations: usize,
+    /// 1 when the polish ran its full 16-iteration cap without reaching a
+    /// fixed point or two-cycle (the iterate it reached is kept), else 0.
+    pub polish_cap_hits: usize,
+    /// 1 when the last-ulp cluster walk stopped at its 12-member cap (the
+    /// canonical pick is then over a possibly partial cluster), else 0.
+    pub cluster_cap_hits: usize,
     /// Final residual infinity norm (of the damped phase; the polish phase
     /// can only move the iterate within the last-ulp neighbourhood).
     pub residual_norm: f64,
+}
+
+impl NewtonInfo {
+    /// The outcome of a damped phase accepted after `iterations` at
+    /// `residual_norm`, before any polish.
+    fn damped(iterations: usize, residual_norm: f64) -> Self {
+        NewtonInfo {
+            iterations,
+            polish_iterations: 0,
+            polish_cap_hits: 0,
+            cluster_cap_hits: 0,
+            residual_norm,
+        }
+    }
 }
 
 /// Reusable scratch for [`solve_newton_with`]: residual/trial vectors, the
@@ -319,38 +320,9 @@ pub fn solve_newton_with(
     ws.ensure(n);
     let mut info = newton_damped(system, x, options, ws)?;
     if options.polish {
-        // Polish against the exact system: the fixed point (and its
-        // canonical cluster member) must be a pure function of the system,
-        // so a tolerance fast path may not leak into the map here.
-        system.set_exact(true);
-        info.polish_iterations = polish_to_fixed_point(system, x, ws);
-        system.set_exact(false);
+        info.polish_iterations = polish_to_fixed_point(system, x, ws, &mut info);
     }
     Ok(info)
-}
-
-/// Re-verifies an accept-candidate residual against the exact system when
-/// the current evaluation mode is approximate (device bypass armed).
-/// Updates `f` and `fnorm` in place; a no-op for ordinary systems. The
-/// caller re-checks its acceptance condition against the refreshed norm and
-/// keeps iterating when the exact residual no longer passes — so every
-/// *accepted* solution satisfies the convergence test with no bypass
-/// shortcuts in effect.
-fn exactify(
-    system: &impl NonlinearSystem,
-    x: &[f64],
-    f: &mut [f64],
-    fnorm: &mut f64,
-) -> Result<(), NumericsError> {
-    if !system.residual_is_approximate() {
-        return Ok(());
-    }
-    system.set_exact(true);
-    let result = system.residual(x, f);
-    system.set_exact(false);
-    result?;
-    *fnorm = inf_norm(f);
-    Ok(())
 }
 
 /// [`solve_newton_with`] bracketed by an [`icvbe_trace::SpanKind::Newton`]
@@ -398,15 +370,7 @@ fn newton_damped(
 
     for iter in 0..options.max_iterations {
         if fnorm <= options.residual_tolerance {
-            exactify(system, x, &mut ws.f, &mut fnorm)?;
-            if fnorm <= options.residual_tolerance {
-                return Ok(NewtonInfo {
-                    iterations: iter,
-                    polish_iterations: 0,
-                    residual_norm: fnorm,
-                });
-            }
-            // The exact residual no longer passes: keep iterating on it.
+            return Ok(NewtonInfo::damped(iter, fnorm));
         }
         system.jacobian(x, jac)?;
         ws.lu.factor_from(jac)?;
@@ -449,13 +413,8 @@ fn newton_damped(
                 ws.trial[i] = x[i] + damping * ws.dx[i];
             }
             if ws.trial == x {
-                exactify(system, x, &mut ws.f, &mut fnorm)?;
                 if fnorm <= options.acceptable_residual {
-                    return Ok(NewtonInfo {
-                        iterations: iter,
-                        polish_iterations: 0,
-                        residual_norm: fnorm,
-                    });
+                    return Ok(NewtonInfo::damped(iter, fnorm));
                 }
                 return Err(NumericsError::NoConvergence {
                     iterations: iter,
@@ -477,25 +436,11 @@ fn newton_damped(
         if inf_norm(&ws.dx) * damping <= options.step_tolerance
             && fnorm <= options.residual_tolerance.max(1e-9)
         {
-            exactify(system, x, &mut ws.f, &mut fnorm)?;
-            if fnorm <= options.residual_tolerance.max(1e-9) {
-                return Ok(NewtonInfo {
-                    iterations: iter + 1,
-                    polish_iterations: 0,
-                    residual_norm: fnorm,
-                });
-            }
+            return Ok(NewtonInfo::damped(iter + 1, fnorm));
         }
     }
     if fnorm <= options.acceptable_residual {
-        exactify(system, x, &mut ws.f, &mut fnorm)?;
-        if fnorm <= options.acceptable_residual {
-            return Ok(NewtonInfo {
-                iterations: options.max_iterations,
-                polish_iterations: 0,
-                residual_norm: fnorm,
-            });
-        }
+        return Ok(NewtonInfo::damped(options.max_iterations, fnorm));
     }
     Err(NumericsError::NoConvergence {
         iterations: options.max_iterations,
@@ -536,10 +481,13 @@ const CYCLE_SPAN_ULPS: u64 = 4;
 /// the entry side. Failures (singular Jacobian, non-finite residual) end
 /// the polish and keep the already-converged iterate; the cap bounds the
 /// cost.
+///
+/// Returns the iterations spent and books either cap's hit in `info`.
 fn polish_to_fixed_point(
     system: &impl NonlinearSystem,
     x: &mut [f64],
     ws: &mut NewtonWorkspace,
+    info: &mut NewtonInfo,
 ) -> usize {
     let n = x.len();
     if ws.jac.is_none() {
@@ -575,7 +523,7 @@ fn polish_to_fixed_point(
             // Bitwise stationary. Seed the cluster with this fixed point
             // and canonicalize over the whole last-ulp neighbourhood.
             ws.cluster[..n].copy_from_slice(x);
-            canonicalize_cluster(system, x, ws, 1);
+            info.cluster_cap_hits = usize::from(canonicalize_cluster(system, x, ws, 1));
             return iter;
         }
         if system.residual(&ws.trial, &mut ws.f_trial).is_err() {
@@ -589,7 +537,7 @@ fn polish_to_fixed_point(
             // Two-cycle {x, trial}: seed the cluster with both members.
             ws.cluster[..n].copy_from_slice(x);
             ws.cluster[n..2 * n].copy_from_slice(&ws.trial);
-            canonicalize_cluster(system, x, ws, 2);
+            info.cluster_cap_hits = usize::from(canonicalize_cluster(system, x, ws, 2));
             return iter + 1;
         }
         ws.prev.copy_from_slice(x);
@@ -597,6 +545,7 @@ fn polish_to_fixed_point(
         x.copy_from_slice(&ws.trial);
         ws.f.copy_from_slice(&ws.f_trial);
     }
+    info.polish_cap_hits = 1;
     POLISH_MAX
 }
 
@@ -658,12 +607,13 @@ fn newton_map(
 ///
 /// `ws.cluster[..seeded * n]` must hold the terminal points already found
 /// by the polish loop (the stationary point, or both two-cycle members).
+/// Returns whether the walk stopped at [`CLUSTER_MAX`] members.
 fn canonicalize_cluster(
     system: &impl NonlinearSystem,
     x: &mut [f64],
     ws: &mut NewtonWorkspace,
     seeded: usize,
-) {
+) -> bool {
     let n = x.len();
     let mut count = seeded.min(CLUSTER_MAX);
     let mut member = 0;
@@ -688,7 +638,7 @@ fn canonicalize_cluster(
                 // (free once the polish loop has terminated) holds N(N(p))
                 // for the two-cycle test.
                 let Some(jac) = ws.jac.as_mut() else {
-                    return;
+                    return false;
                 };
                 if !newton_map(
                     system,
@@ -719,7 +669,7 @@ fn canonicalize_cluster(
                     continue;
                 }
                 let Some(jac) = ws.jac.as_mut() else {
-                    return;
+                    return false;
                 };
                 if !newton_map(
                     system,
@@ -771,6 +721,7 @@ fn canonicalize_cluster(
         }
     }
     x[..n].copy_from_slice(&ws.cluster[best * n..(best + 1) * n]);
+    count == CLUSTER_MAX
 }
 
 /// Whether `point` is bitwise equal to one of the first `count` cluster
@@ -1011,52 +962,73 @@ mod tests {
         sparse_ws.use_dense();
     }
 
-    /// A 1-D system with a deliberately sloppy fast path: in fast mode the
-    /// residual is evaluated at `x` quantized to a 1e-6 grid (a stand-in
-    /// for tolerance-based device bypass); exact mode uses `x` itself.
-    struct Quantized {
-        exact: std::cell::Cell<bool>,
+    /// `f(x) = x - 2` with a Jacobian scaled by `slope` and a residual
+    /// that is exactly zero on the band `|x - 2| <= flat`.
+    struct Skewed {
+        slope: f64,
+        flat: f64,
     }
 
-    impl NonlinearSystem for Quantized {
+    impl NonlinearSystem for Skewed {
         fn dimension(&self) -> usize {
             1
         }
         fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
-            let xe = if self.exact.get() {
-                x[0]
-            } else {
-                (x[0] * 1e6).round() / 1e6
-            };
-            out[0] = xe - 2.0;
+            let e = x[0] - 2.0;
+            out[0] = if e.abs() <= self.flat { 0.0 } else { e };
             Ok(())
         }
         fn jacobian(&self, _x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
-            out[(0, 0)] = 1.0;
+            out[(0, 0)] = self.slope;
             Ok(())
         }
-        fn set_exact(&self, exact: bool) {
-            self.exact.set(exact);
-        }
-        fn residual_is_approximate(&self) -> bool {
-            !self.exact.get()
+    }
+
+    fn polish_options() -> NewtonOptions {
+        NewtonOptions {
+            polish: true,
+            ..NewtonOptions::default()
         }
     }
 
     #[test]
-    fn approximate_systems_are_reverified_exactly_at_acceptance() {
-        // The start sits inside the fast path's quantization cell around
-        // the root: the *fast* residual is exactly zero there, so a solver
-        // without exact re-verification would accept the start unchanged.
-        let sys = Quantized {
-            exact: std::cell::Cell::new(false),
+    fn polish_cap_hit_is_counted() {
+        // An underestimated Jacobian (J = 0.6 f') overshoots every step by
+        // two thirds of the error, so the undamped polish crawls toward
+        // the root and never reaches the last-ulp grid within its cap.
+        let sys = Skewed {
+            slope: 0.6,
+            flat: 0.0,
         };
         let mut ws = NewtonWorkspace::new();
-        let mut x = [2.0 + 3.4e-7];
-        let info = solve_newton_with(&sys, &mut x, NewtonOptions::default(), &mut ws).unwrap();
-        assert_eq!(x[0], 2.0, "accepted solution must solve the exact system");
-        assert!(info.iterations > 0, "fast-path zero must not be accepted");
-        assert!(!sys.exact.get(), "solver must leave fast mode re-armed");
+        let mut x = [2.5];
+        let info = solve_newton_with(&sys, &mut x, polish_options(), &mut ws).unwrap();
+        assert_eq!(info.polish_iterations, POLISH_MAX);
+        assert_eq!(info.polish_cap_hits, 1);
+        assert_eq!(info.cluster_cap_hits, 0);
+        // A well-posed system polishes without touching either cap.
+        let mut x = [1.0, 0.5];
+        let info = solve_newton_with(&Circle, &mut x, polish_options(), &mut ws).unwrap();
+        assert!(info.polish_iterations < POLISH_MAX);
+        assert_eq!((info.polish_cap_hits, info.cluster_cap_hits), (0, 0));
+    }
+
+    #[test]
+    fn cluster_cap_hit_is_counted() {
+        // The residual vanishes on a ±1e-12 band around the root, so every
+        // ulp neighbour there is a fixed point of the rounded Newton map
+        // and the cluster walk fills up to its cap.
+        let sys = Skewed {
+            slope: 1.0,
+            flat: 1e-12,
+        };
+        let mut ws = NewtonWorkspace::new();
+        let mut x = [3.0];
+        let info = solve_newton_with(&sys, &mut x, polish_options(), &mut ws).unwrap();
+        assert_eq!(info.cluster_cap_hits, 1);
+        assert_eq!(info.polish_cap_hits, 0);
+        // The pick is still the lexicographically smallest member found.
+        assert!(x[0] < 2.0 && x[0] > 2.0 - 1e-12, "{}", x[0]);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use icvbe_campaign::die::DieBudget;
 use icvbe_campaign::report::write_reports;
 use icvbe_campaign::spec::WaferMap;
 use icvbe_campaign::taxonomy::FailureKind;
-use icvbe_campaign::{run_campaign_with, CampaignRun, CampaignSpec, RunOptions};
+use icvbe_campaign::{run_campaign_with, CampaignRun, CampaignSpec, StreamOptions};
 use icvbe_instrument::chaos::ChaosSpec;
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_serve::shard::{run_sharded, ShardOptions};
@@ -424,12 +424,11 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  stamping: device bypass hit rate {:.1}% ({} evals, {} exact reuses, \
-         {} bypasses), incremental restamp {:.1}% ({} incremental, {} full)",
-        solver.bypass_hit_rate() * 100.0,
+        "  stamping: device eval reuse rate {:.1}% ({} evals, {} exact reuses), \
+         incremental restamp {:.1}% ({} incremental, {} full)",
+        solver.eval_reuse_rate() * 100.0,
         solver.device_evals,
         solver.device_reuses,
-        solver.bypass_hits,
         solver.restamp_savings() * 100.0,
         solver.restamp_incremental,
         solver.restamp_full,
@@ -559,11 +558,12 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
         };
         run_sharded(&spec, &opts).map_err(|e| e.to_string())?
     } else {
-        let options = RunOptions {
+        let options = StreamOptions {
             trace: cli.trace,
             chaos: cli.chaos,
             chaos_seed: cli.chaos_seed,
             budget,
+            ..StreamOptions::default()
         };
         run_campaign_with(&spec, cli.threads, &options).map_err(|e| e.to_string())?
     };

@@ -31,7 +31,7 @@
 //! |---|---|
 //! | supervisor → worker | `{"cmd":"shard_run","version":2,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
-//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v2"`) |
+//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v3"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
 //!
 //! A worker that exits without a terminal line (crash, kill, OOM) is

@@ -8,48 +8,6 @@ use crate::system::CircuitAssembly;
 use crate::workspace::{solve_dc_with, SolveWorkspace};
 use crate::SpiceError;
 
-/// SPICE-style device-evaluation bypass: reuse a device's cached currents
-/// and conductances when its controlling voltages moved less than
-/// `v_abs + v_rel * max(|v|, |v_anchor|)` since the last full evaluation.
-///
-/// This is an *approximation inside the iteration only*: the solver
-/// re-verifies every accepted residual with bypass suspended, and the
-/// polish runs bypass-free, so accepted solutions are bit-identical to a
-/// bypass-free solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BypassOptions {
-    /// Master switch (off by default — opt-in approximation).
-    pub enabled: bool,
-    /// Absolute voltage tolerance.
-    pub v_abs: f64,
-    /// Relative voltage tolerance.
-    pub v_rel: f64,
-}
-
-impl Default for BypassOptions {
-    fn default() -> Self {
-        // Sized so the bypassed-residual error (~gm * dv) stays below the
-        // 1e-9 A residual tolerance for the microamp-scale workloads:
-        // gm ~ 4e-5 S at 1 uA, so dv ~ 1e-6 V keeps the error ~4e-11 A.
-        BypassOptions {
-            enabled: false,
-            v_abs: 1e-6,
-            v_rel: 1e-5,
-        }
-    }
-}
-
-impl BypassOptions {
-    /// The default tolerances with the bypass switched on.
-    #[must_use]
-    pub fn active() -> Self {
-        BypassOptions {
-            enabled: true,
-            ..BypassOptions::default()
-        }
-    }
-}
-
 /// Options controlling the DC solve and its continuation fallbacks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcOptions {
@@ -61,8 +19,6 @@ pub struct DcOptions {
     pub gmin_start: f64,
     /// Number of source-stepping ramp points in the last-resort strategy.
     pub source_steps: usize,
-    /// Device-evaluation bypass policy.
-    pub bypass: BypassOptions,
 }
 
 impl Default for DcOptions {
@@ -82,7 +38,6 @@ impl Default for DcOptions {
             gmin_floor: 1e-12,
             gmin_start: 1e-3,
             source_steps: 10,
-            bypass: BypassOptions::default(),
         }
     }
 }

@@ -21,13 +21,14 @@
 //! warm-start hit rates without threading counters through every layer.
 
 use icvbe_numerics::newton::{solve_newton_traced, NewtonWorkspace};
+use icvbe_numerics::NumericsError;
 use icvbe_trace::{SpanKind, SpanToken, TraceBuf};
 use icvbe_units::Kelvin;
 
 use crate::ladder::{SolveFailure, SolveStrategy};
 use crate::netlist::Circuit;
 use crate::solver::DcOptions;
-use crate::stamp::{BypassTolerance, EvalContext};
+use crate::stamp::EvalContext;
 use crate::system::{CircuitAssembly, CircuitSystem};
 use crate::SpiceError;
 
@@ -52,8 +53,11 @@ pub struct SolveStats {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
-    /// Device evaluations skipped by the tolerance bypass.
-    pub bypass_hits: u64,
+    /// Newton polishes that ran out of iterations before reaching a
+    /// fixed point or two-cycle.
+    pub polish_cap_hits: u64,
+    /// Last-ulp cluster walks that stopped at their member cap.
+    pub cluster_cap_hits: u64,
     /// Jacobian passes that rewrote only operating-point-dependent slots.
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element.
@@ -120,16 +124,32 @@ impl SolveWorkspace {
 }
 
 /// Drains the assembly's per-solve stamp counters into the workspace
-/// stats and returns the solve's bypass-hit count (for the solve span
-/// payload).
-pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
+/// stats.
+pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) {
     let effort = assembly.take_stamp_effort();
     ws.stats.device_evals += effort.device_evals;
     ws.stats.device_reuses += effort.device_reuses;
-    ws.stats.bypass_hits += effort.bypass_hits;
     ws.stats.restamp_incremental += effort.restamp_incremental;
     ws.stats.restamp_full += effort.restamp_full;
-    effort.bypass_hits
+}
+
+/// One traced Newton solve from `ws.x`, booking the polish cap hits into
+/// the stats; returns the damped iterations.
+fn newton(
+    system: &CircuitSystem<'_>,
+    options: &DcOptions,
+    ws: &mut SolveWorkspace,
+) -> Result<usize, NumericsError> {
+    let info = solve_newton_traced(
+        system,
+        &mut ws.x,
+        options.newton,
+        &mut ws.newton,
+        &mut ws.trace,
+    )?;
+    ws.stats.polish_cap_hits += info.polish_cap_hits as u64;
+    ws.stats.cluster_cap_hits += info.cluster_cap_hits as u64;
+    Ok(info.iterations)
 }
 
 /// Books a successful solve into the stats, closes the rung and solve
@@ -143,9 +163,9 @@ pub(crate) fn rung_succeeded(
     rung: SpanToken,
     solve: SpanToken,
 ) -> DcSolveInfo {
-    let bypass = drain_effort(ws, assembly);
+    drain_effort(ws, assembly);
     ws.trace.span_end(rung);
-    ws.trace.span_end_with(solve, iterations as u64, bypass);
+    ws.trace.span_end_with(solve, iterations as u64, 0);
     ws.stats.newton_iterations += iterations as u64;
     ws.stats.ladder_success[strategy.index()] += 1;
     DcSolveInfo {
@@ -164,8 +184,8 @@ fn ladder_exhausted(
     failure: SolveFailure,
     solve: SpanToken,
 ) -> SpiceError {
-    let bypass = drain_effort(ws, assembly);
-    ws.trace.span_end_with(solve, iterations as u64, bypass);
+    drain_effort(ws, assembly);
+    ws.trace.span_end_with(solve, iterations as u64, 0);
     ws.stats.newton_iterations += iterations as u64;
     ws.stats.ladder_exhausted += 1;
     SpiceError::LadderExhausted(failure)
@@ -211,17 +231,7 @@ pub fn solve_dc_with(
     // through this assembly; force one full restamp before going
     // incremental again.
     assembly.invalidate_constants();
-    let bypass = BypassTolerance {
-        active: options.bypass.enabled,
-        v_abs: options.bypass.v_abs,
-        v_rel: options.bypass.v_rel,
-    };
-    // Bypass is gated to the escalated rungs: warm solves re-evaluate so
-    // rarely that the tolerance bookkeeping costs more than it saves
-    // (measured on the campaign bench — see DESIGN.md §10), while cold and
-    // ladder solves take tens of thousands of profitable hits. Accepted
-    // bits are unchanged either way (the bypass on/off contract).
-    let mut system = CircuitSystem::hot_path(circuit, eval, assembly, BypassTolerance::OFF);
+    let mut system = CircuitSystem::hot_path(circuit, eval, assembly);
     // The symbolic plan is armed by the first recording pass, so a fresh
     // assembly runs its first solve through dense LU and binds the frozen
     // factorization from the second solve on (bitwise identical results).
@@ -253,15 +263,9 @@ pub fn solve_dc_with(
             .trace
             .span_labeled(SpanKind::Rung, SolveStrategy::WarmStart.label());
         ws.x.copy_from_slice(&ws.x0);
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => {
-                iterations += info.iterations;
+        match newton(&system, options, ws) {
+            Ok(iters) => {
+                iterations += iters;
                 return Ok(rung_succeeded(
                     ws,
                     assembly,
@@ -281,22 +285,14 @@ pub fn solve_dc_with(
 
     // Rung 2 — cold start: direct Newton from all zeros. When no seed was
     // provided `x0` is already zeros, so this reproduces the historical
-    // "strategy 1" arithmetic exactly. From here down the solve is cold or
-    // escalated, where the tolerance bypass pays for itself — arm it.
-    system.set_bypass(bypass);
+    // "strategy 1" arithmetic exactly.
     let rung = ws
         .trace
         .span_labeled(SpanKind::Rung, SolveStrategy::ColdStart.label());
     ws.x.fill(0.0);
-    match solve_newton_traced(
-        &system,
-        &mut ws.x,
-        options.newton,
-        &mut ws.newton,
-        &mut ws.trace,
-    ) {
-        Ok(info) => {
-            iterations += info.iterations;
+    match newton(&system, options, ws) {
+        Ok(iters) => {
+            iterations += iters;
             return Ok(rung_succeeded(
                 ws,
                 assembly,
@@ -327,14 +323,8 @@ pub fn solve_dc_with(
             gmin,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::GminStepping,
@@ -356,15 +346,9 @@ pub fn solve_dc_with(
             gmin: options.gmin_floor,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => {
-                iterations += info.iterations;
+        match newton(&system, options, ws) {
+            Ok(iters) => {
+                iterations += iters;
                 return Ok(rung_succeeded(
                     ws,
                     assembly,
@@ -397,14 +381,8 @@ pub fn solve_dc_with(
             gmin: 1e-9,
             source_scale: scale,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::SourceStepping,
@@ -425,14 +403,8 @@ pub fn solve_dc_with(
             gmin,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::SourceStepping,
@@ -551,7 +523,8 @@ mod tests {
             ladder_exhausted: 0,
             device_evals: 42,
             device_reuses: 9,
-            bypass_hits: 4,
+            polish_cap_hits: 1,
+            cluster_cap_hits: 2,
             restamp_incremental: 11,
             restamp_full: 3,
         };

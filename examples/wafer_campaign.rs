@@ -15,7 +15,7 @@
 
 use icvbe::campaign::report::aggregate_json;
 use icvbe::campaign::spec::WaferMap;
-use icvbe::campaign::{run_campaign_with, CampaignSpec, RunOptions};
+use icvbe::campaign::{run_campaign_with, CampaignSpec, StreamOptions};
 use icvbe::repro::campaign_cli::{diameter_for_dies, render};
 use icvbe::trace::mask_nondeterministic;
 
@@ -29,9 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = CampaignSpec::paper_default(wafer, 2002);
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let options = RunOptions {
+    let options = StreamOptions {
         trace: true,
-        ..RunOptions::default()
+        ..StreamOptions::default()
     };
     let serial = run_campaign_with(&spec, 1, &options)?;
     let parallel = run_campaign_with(&spec, threads, &options)?;

@@ -44,18 +44,19 @@ grep -q '"ph":"B"' "$smoke_dir/campaign_trace.json"
 sed 's/ [0-9][0-9]*$/ 0/' "$smoke_dir/campaign_profile.folded" \
   | diff -u scripts/fixtures/trace_smoke.folded -
 
-echo "==> perf smoke: device bypass and incremental restamping are live"
+echo "==> perf smoke: device eval reuse and incremental restamping are live"
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
   --out "$smoke_dir/default" > /dev/null
 metrics="$smoke_dir/default/campaign_metrics.json"
-# The fast path must actually be running: tolerance bypasses taken,
-# incremental restamps dominating, and both derived rates nonzero.
-grep -q '"bypass_hits":0[,}]' "$metrics" && \
-  { echo "FAIL: no tolerance bypasses taken"; exit 1; }
+# The fast path must actually be running: exact-bit device evaluation
+# reuses taken, incremental restamps dominating, and both derived rates
+# nonzero.
+grep -q '"device_reuses":0[,}]' "$metrics" && \
+  { echo "FAIL: no device evaluation reuses"; exit 1; }
 grep -q '"restamp_incremental":0[,}]' "$metrics" && \
   { echo "FAIL: no incremental restamps"; exit 1; }
-grep -q '"bypass_hit_rate":0[,}]' "$metrics" && \
-  { echo "FAIL: zero bypass hit rate"; exit 1; }
+grep -q '"eval_reuse_rate":0[,}]' "$metrics" && \
+  { echo "FAIL: zero device eval reuse rate"; exit 1; }
 grep -q '"restamp_savings":0[,}]' "$metrics" && \
   { echo "FAIL: zero restamp savings"; exit 1; }
 
