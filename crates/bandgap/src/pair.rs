@@ -272,15 +272,6 @@ impl CompiledPair {
         self.has_warm = false;
     }
 
-    /// Installs a process-wide symbolic-LU plan cache on this pair's
-    /// assembly (see
-    /// [`CircuitAssembly::set_symbolic_cache`]): structurally identical
-    /// pairs compiled on any thread then share one elimination analysis.
-    /// Results are bit-identical with or without the cache.
-    pub fn use_symbolic_cache(&mut self, cache: std::sync::Arc<icvbe_spice::cache::SymbolicCache>) {
-        self.assembly.set_symbolic_cache(cache);
-    }
-
     /// Solves the compiled structure at one temperature and reads out the
     /// pair, drawing all solver storage from `ws`.
     ///
@@ -456,6 +447,20 @@ mod tests {
         assert_eq!(cold, warm, "polish must erase the seed dependence");
         // And the warm pass must actually have warm-started.
         assert!(ws.stats.warm_starts >= (temps.len() - 1) as u64);
+    }
+
+    #[test]
+    fn compiled_pair_is_a_two_unknown_system() {
+        // The two emitter nodes are the only unknowns, with or without the
+        // substrate parasitic: the premise of the solver's single dense LU
+        // path (DESIGN.md §10).
+        let ideal = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6));
+        let leaky = ideal
+            .clone()
+            .with_substrate(SubstrateJunction::bicmos_default());
+        for pair in [ideal, leaky] {
+            assert_eq!(pair.compile().unwrap().assembly.dimension(), 2);
+        }
     }
 
     #[test]

@@ -361,10 +361,11 @@ pub(crate) fn verify_checksum(text: &str) -> Result<(), CampaignError> {
     let Some(rest) = text.get(digits..digits + 18) else {
         return Err(bad("checksum field truncated"));
     };
-    let (hex, tail) = rest.split_at(16);
-    if !tail.starts_with("\",") {
+    // `get`, not `split_at`: a corrupt byte can put a multi-byte
+    // character across the digit/terminator boundary.
+    let (Some(hex), Some("\",")) = (rest.get(..16), rest.get(16..)) else {
         return Err(bad("checksum field malformed"));
-    }
+    };
     let claimed =
         u64::from_str_radix(hex, 16).map_err(|_| bad("checksum must be a 16-digit hex string"))?;
     // Hash the document with the checksum field excised — the exact
@@ -489,6 +490,14 @@ mod tests {
     use crate::spec::{CampaignSpec, WaferMap};
     use crate::wire::spec_fingerprint;
     use crate::worker::run_campaign;
+
+    #[test]
+    fn checksum_field_split_inside_a_character_is_an_error() {
+        // Fifteen hex digits, then a two-byte character straddling the
+        // end of the 16-digit field.
+        let text = "{\"checksum\":\"0123456789abcdeé\",\"x\":1}";
+        assert!(verify_checksum(text).is_err());
+    }
 
     #[test]
     fn empty_aggregate_round_trips_including_infinities() {

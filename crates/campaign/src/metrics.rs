@@ -181,10 +181,6 @@ pub struct CampaignCounters {
     pub polish_cap_hits: AtomicU64,
     /// Last-ulp cluster walks that stopped at their member cap.
     pub cluster_cap_hits: AtomicU64,
-    /// Jacobian passes that restamped only operating-point-dependent slots.
-    pub restamp_incremental: AtomicU64,
-    /// Jacobian passes that stamped every element.
-    pub restamp_full: AtomicU64,
     /// Per-die Newton iteration totals (histogram of counts, not ns).
     pub newton_per_die: LogHistogram,
     /// Per-die self-heating iteration totals (histogram of counts).
@@ -220,7 +216,7 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 22] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 20] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
@@ -234,8 +230,6 @@ impl CampaignCounters {
             ("device_reuses", &self.device_reuses),
             ("polish_cap_hits", &self.polish_cap_hits),
             ("cluster_cap_hits", &self.cluster_cap_hits),
-            ("restamp_incremental", &self.restamp_incremental),
-            ("restamp_full", &self.restamp_full),
             ("corners_retried", &self.corners_retried),
             ("corners_recovered", &self.corners_recovered),
             ("robust_recoveries", &self.robust_recoveries),
@@ -287,10 +281,6 @@ impl CampaignCounters {
             .fetch_add(stats.polish_cap_hits, Ordering::Relaxed);
         self.cluster_cap_hits
             .fetch_add(stats.cluster_cap_hits, Ordering::Relaxed);
-        self.restamp_incremental
-            .fetch_add(stats.restamp_incremental, Ordering::Relaxed);
-        self.restamp_full
-            .fetch_add(stats.restamp_full, Ordering::Relaxed);
         self.newton_per_die.record_ns(stats.newton_iterations);
         self.selfheat_per_die.record_ns(selfheat_iterations);
     }
@@ -375,10 +365,6 @@ pub struct SolverMetrics {
     pub polish_cap_hits: u64,
     /// Last-ulp cluster walks that stopped at their member cap.
     pub cluster_cap_hits: u64,
-    /// Jacobian passes that restamped only operating-point-dependent slots.
-    pub restamp_incremental: u64,
-    /// Jacobian passes that stamped every element.
-    pub restamp_full: u64,
     /// Median per-die Newton iteration count (log₂-bucket upper bound).
     pub newton_per_die_p50: u64,
     /// 99th-percentile per-die Newton iteration count (bucket upper bound).
@@ -416,18 +402,6 @@ impl SolverMetrics {
             0.0
         } else {
             self.device_reuses as f64 / total as f64
-        }
-    }
-
-    /// Fraction of Jacobian passes that only restamped
-    /// operating-point-dependent slots (0 when none ran).
-    #[must_use]
-    pub fn restamp_savings(&self) -> f64 {
-        let total = self.restamp_incremental + self.restamp_full;
-        if total == 0 {
-            0.0
-        } else {
-            self.restamp_incremental as f64 / total as f64
         }
     }
 }
@@ -500,8 +474,6 @@ impl CampaignCounters {
                     device_reuses: self.device_reuses.load(Ordering::Relaxed),
                     polish_cap_hits: self.polish_cap_hits.load(Ordering::Relaxed),
                     cluster_cap_hits: self.cluster_cap_hits.load(Ordering::Relaxed),
-                    restamp_incremental: self.restamp_incremental.load(Ordering::Relaxed),
-                    restamp_full: self.restamp_full.load(Ordering::Relaxed),
                     newton_per_die_p50: newton.p50_ns,
                     newton_per_die_p99: newton.p99_ns,
                 }

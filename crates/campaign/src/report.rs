@@ -379,7 +379,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"schema\":\"icvbe-campaign-metrics-v2\",\n",
+            "  \"schema\":\"icvbe-campaign-metrics-v3\",\n",
             "  \"threads\":{threads},\n",
             "  \"dies_started\":{started},\n",
             "  \"dies_completed\":{completed},\n",
@@ -393,8 +393,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
              \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
              \"device_reuses\":{devreuses},\"eval_reuse_rate\":{reuserate},\
              \"polish_cap_hits\":{polcap},\"cluster_cap_hits\":{clucap},\
-             \"restamp_incremental\":{rsincr},\"restamp_full\":{rsfull},\
-             \"restamp_savings\":{rssave},\"newton_per_die_p50\":{np50},\
+             \"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
             "  \"recovery\":{{\"corners_retried\":{retried},\
              \"corners_recovered\":{recovered},\"robust_recoveries\":{robust},\
@@ -426,9 +425,6 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         reuserate = num(m.solver.eval_reuse_rate()),
         polcap = m.solver.polish_cap_hits,
         clucap = m.solver.cluster_cap_hits,
-        rsincr = m.solver.restamp_incremental,
-        rsfull = m.solver.restamp_full,
-        rssave = num(m.solver.restamp_savings()),
         np50 = m.solver.newton_per_die_p50,
         np99 = m.solver.newton_per_die_p99,
         retried = m.recovery.corners_retried,

@@ -24,7 +24,6 @@ use std::time::Instant;
 
 use icvbe_instrument::bench::BenchScratch;
 use icvbe_instrument::chaos::{ChaosPlan, ChaosSpec};
-use icvbe_spice::cache::SymbolicCache;
 use icvbe_trace::{SpanKind, SpanPhase, Trace, TraceEvent, NO_DIE};
 
 use crate::aggregate::{CampaignAggregate, YieldBin};
@@ -60,8 +59,8 @@ pub struct CampaignRun {
 /// [`run_campaign_streaming`], beyond the spec itself.
 ///
 /// The defaults run the whole wafer from die 0 with a fresh aggregate,
-/// private counters, a run-local symbolic cache, no tracing, no chaos and
-/// no die budget — exactly [`run_campaign`].
+/// private counters, no tracing, no chaos and no die budget — exactly
+/// [`run_campaign`].
 #[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
     /// Capture a structured span trace of the run into
@@ -81,12 +80,6 @@ pub struct StreamOptions {
     /// for a fresh one. Must hold exactly the fold of dies
     /// `0..start_die` for the determinism guarantee to carry over.
     pub resume: Option<CampaignAggregate>,
-    /// Cross-campaign symbolic-LU plan cache. Jobs whose netlists share a
-    /// sparsity pattern reuse one analysis; cached plans are bit-identical
-    /// to fresh ones, so sharing never perturbs results. `None` (the
-    /// default) still shares a cache *within* the run — dies of one
-    /// topology always hold the same plan `Arc`.
-    pub symbolic_cache: Option<Arc<SymbolicCache>>,
     /// External counters to accumulate into instead of run-private ones —
     /// a service accumulates one job's counters across its slices.
     pub counters: Option<Arc<CampaignCounters>>,
@@ -274,16 +267,6 @@ where
     let chaos_plan = (options.chaos.die_panic_probability > 0.0)
         .then(|| ChaosPlan::new(options.chaos, options.chaos_seed));
     let dropped = AtomicU64::new(0);
-    // Run-shared symbolic-LU cache, created here when the caller did not
-    // install a cross-campaign one. Every die of a topology then holds
-    // the *same* plan `Arc`, so plan install is a pointer compare instead
-    // of a structural one. Cached plans are bit-identical to private
-    // analysis (see `shared_symbolic_cache_does_not_perturb_results`), so
-    // the default share never perturbs results.
-    let symbolic_cache = options
-        .symbolic_cache
-        .clone()
-        .unwrap_or_else(|| Arc::new(SymbolicCache::new()));
     // The fold thread's `tid` in exported traces: one past the workers.
     let fold_tid = threads as u32;
     let started = Instant::now();
@@ -314,7 +297,6 @@ where
             let cursor = Arc::clone(&cursor);
             let sites = &sites;
             let setpoints = &setpoints;
-            let symbolic_cache = Some(Arc::clone(&symbolic_cache));
             let dropped = &dropped;
             scope.spawn(move || {
                 // One scratch per worker thread: solver buffers reach a
@@ -322,16 +304,15 @@ where
                 // every die the thread claims. A panic poisons the
                 // scratch mid-die, so containment rebuilds it from this
                 // recipe before the next claim.
-                let fresh_scratch = |cache: &Option<Arc<SymbolicCache>>| {
+                let fresh_scratch = || {
                     let mut s = DieScratch::new();
                     s.budget = budget;
-                    s.bench.symbolic_cache = cache.clone();
                     if tracing {
                         s.bench.solve.trace.enable(started, worker as u32);
                     }
                     s
                 };
-                let mut scratch = fresh_scratch(&symbolic_cache);
+                let mut scratch = fresh_scratch();
                 'claim: loop {
                     let base = cursor.fetch_add(claim, Ordering::Relaxed);
                     if base >= end {
@@ -359,7 +340,7 @@ where
                             Ok(out) => out,
                             Err(_) => {
                                 counters.die_panics.fetch_add(1, Ordering::Relaxed);
-                                scratch = fresh_scratch(&symbolic_cache);
+                                scratch = fresh_scratch();
                                 contained_panic_outcome(spec, *site)
                             }
                         };
@@ -844,20 +825,5 @@ mod tests {
             ..StreamOptions::default()
         };
         assert!(run_campaign_with(&s, 2, &options).is_err());
-    }
-
-    #[test]
-    fn shared_symbolic_cache_does_not_perturb_results() {
-        let s = tiny_spec();
-        let plain = run_campaign(&s, 2).unwrap();
-        let cache = std::sync::Arc::new(icvbe_spice::cache::SymbolicCache::default());
-        let options = StreamOptions {
-            symbolic_cache: Some(std::sync::Arc::clone(&cache)),
-            ..StreamOptions::default()
-        };
-        let cached =
-            run_campaign_streaming(&s, 2, &options, |_, _| ControlFlow::Continue(())).unwrap();
-        assert_eq!(cached.aggregate, plain.aggregate);
-        assert!(cache.hits() + cache.misses() > 0);
     }
 }

@@ -99,8 +99,7 @@ pub struct PairCampaignPoint {
 /// How the compiled measurement path drives the circuit solver.
 ///
 /// There is one mode: every circuit solve after a pair's first is
-/// warm-started, and every solve after the recording one factors through
-/// the frozen sparse plan.
+/// warm-started.
 /// The type has no fields and stays only because
 /// [`TestStructureBench::run_pair_campaign_with`] and
 /// [`TestStructureBench::campaign_dc_options_with`] take it, and callers
@@ -122,10 +121,6 @@ pub struct BenchScratch {
     pub solve: SolveWorkspace,
     /// Electro-thermal fixed-point iterations accumulated.
     pub selfheat_iterations: u64,
-    /// Optional process-wide symbolic-LU plan cache, installed on every
-    /// pair compiled through this scratch. `None` (the default) keeps the
-    /// historical per-assembly analysis; results are identical either way.
-    pub symbolic_cache: Option<std::sync::Arc<icvbe_spice::cache::SymbolicCache>>,
 }
 
 impl BenchScratch {
@@ -310,9 +305,6 @@ impl TestStructureBench {
     ) -> Result<(), BenchError> {
         out.clear();
         let mut compiled = sample.pair_structure(bias).compile()?;
-        if let Some(cache) = &scratch.symbolic_cache {
-            compiled.use_symbolic_cache(std::sync::Arc::clone(cache));
-        }
         let path = self.path.scaled(sample.rth_scale)?;
         let options = TestStructureBench::campaign_dc_options_with(SolveMode);
         for &setpoint in setpoints {

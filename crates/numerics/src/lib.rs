@@ -4,8 +4,6 @@
 //! from scratch on `std` only:
 //!
 //! - dense [`Matrix`] / vector helpers and [LU](lu) / [QR](qr) factorizations,
-//! - [sparse LU on a frozen symbolic plan](sparse), bit-compatible with the
-//!   dense path, for the repetitive MNA factorizations of the campaign,
 //! - [linear least squares](lsq) (the eq.-13 best-fit extractor is a linear
 //!   fit in `EG` and `XTI`),
 //! - [scalar root finding](roots) (Brent, bisection, Newton) used by the
@@ -51,7 +49,6 @@ pub mod qr;
 pub mod rng;
 pub mod robust;
 pub mod roots;
-pub mod sparse;
 pub mod stats;
 pub mod vexp;
 

@@ -14,10 +14,7 @@
 //!   allocations. Campaign workloads run thousands of structurally identical
 //!   solves; reusing the workspace removes the dominant allocator traffic.
 
-use std::sync::Arc;
-
 use crate::lu::LuFactors;
-use crate::sparse::{LuSymbolic, SparseLu};
 use crate::{Matrix, NumericsError};
 
 /// Options controlling the multivariate Newton iteration.
@@ -32,12 +29,6 @@ pub struct NewtonOptions {
     /// Maximum infinity-norm of a single Newton update; larger proposed
     /// steps are scaled down (crucial for exponential device equations).
     pub max_step: f64,
-    /// Residual norm that is still *accepted* when the iteration stagnates
-    /// or exhausts its budget without reaching `residual_tolerance`.
-    /// Circuit solves use this the way SPICE uses `reltol`/`abstol`: the
-    /// last digits of a stiff system are often unreachable but irrelevant.
-    /// `0.0` (the default) disables the escape hatch.
-    pub acceptable_residual: f64,
     /// After convergence, keep taking full (undamped) Newton steps until
     /// the iterate is **bitwise stationary** — `x + dx` rounds back to `x`
     /// — or a two-cycle on the last-ulp grid is detected and resolved to a
@@ -55,7 +46,6 @@ impl Default for NewtonOptions {
             step_tolerance: 1e-12,
             max_iterations: 200,
             max_step: 1.0e9,
-            acceptable_residual: 0.0,
             polish: false,
         }
     }
@@ -165,41 +155,7 @@ pub struct NewtonWorkspace {
     base: Vec<f64>,
     cluster: Vec<f64>,
     jac: Option<Matrix>,
-    lu: LinearSolver,
-}
-
-/// The linear-solver backend of a [`NewtonWorkspace`]: dense partial-pivot
-/// LU (the default) or sparse LU bound to a frozen symbolic plan. The two
-/// are bit-compatible on matrices honoring the plan's pattern (see
-/// [`crate::sparse`]), so the choice is purely about work skipped.
-#[derive(Debug, Clone)]
-enum LinearSolver {
-    /// Dense partial-pivot LU.
-    Dense(LuFactors),
-    /// Sparse LU on a frozen symbolic plan.
-    Sparse(SparseLu),
-}
-
-impl Default for LinearSolver {
-    fn default() -> Self {
-        LinearSolver::Dense(LuFactors::new())
-    }
-}
-
-impl LinearSolver {
-    fn factor_from(&mut self, a: &Matrix) -> Result<(), NumericsError> {
-        match self {
-            LinearSolver::Dense(lu) => lu.factor_from(a),
-            LinearSolver::Sparse(lu) => lu.factor_from(a),
-        }
-    }
-
-    fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), NumericsError> {
-        match self {
-            LinearSolver::Dense(lu) => lu.solve_into(b, x),
-            LinearSolver::Sparse(lu) => lu.solve_into(b, x),
-        }
-    }
+    lu: LuFactors,
 }
 
 impl NewtonWorkspace {
@@ -209,33 +165,7 @@ impl NewtonWorkspace {
         NewtonWorkspace::default()
     }
 
-    /// Routes this workspace's linear solves through sparse LU on `plan`.
-    /// A workspace already bound to the same plan (pointer identity) is
-    /// left untouched, so per-solve rebinding is allocation-free; binding a
-    /// new plan replaces the factor storage.
-    pub fn use_sparse_plan(&mut self, plan: &Arc<LuSymbolic>) {
-        match &self.lu {
-            LinearSolver::Sparse(s) if Arc::ptr_eq(s.plan(), plan) => {}
-            _ => self.lu = LinearSolver::Sparse(SparseLu::new(Arc::clone(plan))),
-        }
-    }
-
-    /// Routes this workspace's linear solves through dense LU (the
-    /// default). A no-op when already dense.
-    pub fn use_dense(&mut self) {
-        if !matches!(self.lu, LinearSolver::Dense(_)) {
-            self.lu = LinearSolver::Dense(LuFactors::new());
-        }
-    }
-
     fn ensure(&mut self, n: usize) {
-        // A sparse plan sized for a different system cannot factor this
-        // one; fall back to dense rather than erroring mid-solve.
-        if let LinearSolver::Sparse(s) = &self.lu {
-            if s.plan().dimension() != n {
-                self.lu = LinearSolver::Dense(LuFactors::new());
-            }
-        }
         if self.f.len() != n {
             self.f.resize(n, 0.0);
             self.f_trial.resize(n, 0.0);
@@ -413,9 +343,6 @@ fn newton_damped(
                 ws.trial[i] = x[i] + damping * ws.dx[i];
             }
             if ws.trial == x {
-                if fnorm <= options.acceptable_residual {
-                    return Ok(NewtonInfo::damped(iter, fnorm));
-                }
                 return Err(NumericsError::NoConvergence {
                     iterations: iter,
                     residual: fnorm,
@@ -438,9 +365,6 @@ fn newton_damped(
         {
             return Ok(NewtonInfo::damped(iter + 1, fnorm));
         }
-    }
-    if fnorm <= options.acceptable_residual {
-        return Ok(NewtonInfo::damped(options.max_iterations, fnorm));
     }
     Err(NumericsError::NoConvergence {
         iterations: options.max_iterations,
@@ -561,7 +485,7 @@ fn newton_map(
     neg_f: &mut [f64],
     dx: &mut [f64],
     jac: &mut Matrix,
-    lu: &mut LinearSolver,
+    lu: &mut LuFactors,
 ) -> bool {
     let n = p.len();
     if system.residual_and_jacobian(p, f, jac).is_err() || !inf_norm(f).is_finite() {
@@ -928,38 +852,6 @@ mod tests {
         solve_newton_with(&Diode, &mut a, opts, &mut ws).unwrap();
         solve_newton_with(&Diode, &mut b, opts, &mut ws).unwrap();
         assert_eq!(a[0].to_bits(), b[0].to_bits());
-    }
-
-    #[test]
-    fn sparse_plan_routing_matches_dense_bitwise() {
-        let entries = [(0, 0), (0, 1), (1, 0), (1, 1)];
-        let plan = Arc::new(LuSymbolic::analyze(2, &entries).unwrap());
-        let opts = NewtonOptions {
-            polish: true,
-            ..NewtonOptions::default()
-        };
-        let mut dense_ws = NewtonWorkspace::new();
-        let mut sparse_ws = NewtonWorkspace::new();
-        sparse_ws.use_sparse_plan(&plan);
-        let mut xd = [1.0, 0.5];
-        let mut xs = [1.0, 0.5];
-        let id = solve_newton_with(&Circle, &mut xd, opts, &mut dense_ws).unwrap();
-        let is_ = solve_newton_with(&Circle, &mut xs, opts, &mut sparse_ws).unwrap();
-        assert_eq!(xd.map(f64::to_bits), xs.map(f64::to_bits));
-        assert_eq!(id.iterations, is_.iterations);
-        assert_eq!(id.residual_norm.to_bits(), is_.residual_norm.to_bits());
-        // Rebinding the same plan is a no-op; a system of a different
-        // dimension silently falls back to dense instead of erroring.
-        sparse_ws.use_sparse_plan(&plan);
-        let mut x1 = [0.8];
-        let opts1 = NewtonOptions {
-            residual_tolerance: 1e-15,
-            ..NewtonOptions::default()
-        };
-        solve_newton_with(&Diode, &mut x1, opts1, &mut sparse_ws).unwrap();
-        let expected = 0.026 * (1e-3_f64 / 1e-14 + 1.0).ln();
-        assert!((x1[0] - expected).abs() < 1e-9);
-        sparse_ws.use_dense();
     }
 
     /// `f(x) = x - 2` with a Jacobian scaled by `slope` and a residual

@@ -424,14 +424,10 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  stamping: device eval reuse rate {:.1}% ({} evals, {} exact reuses), \
-         incremental restamp {:.1}% ({} incremental, {} full)",
+        "  stamping: device eval reuse rate {:.1}% ({} evals, {} exact reuses)",
         solver.eval_reuse_rate() * 100.0,
         solver.device_evals,
         solver.device_reuses,
-        solver.restamp_savings() * 100.0,
-        solver.restamp_incremental,
-        solver.restamp_full,
     );
     let _ = writeln!(
         s,

@@ -12,9 +12,9 @@
 //!   backpressure hint, `unknown_job`, `bad_request`).
 //! - [`service`]: the engine — a bounded job queue, a scheduler that
 //!   round-robins execution **slices** across tenants (no tenant can
-//!   starve another), one shared symbolic-LU cache across all jobs, per-
-//!   die event streams with history replay, and checkpoint files that let
-//!   a killed daemon resume every job **byte-identically**.
+//!   starve another), per-die event streams with history replay, and
+//!   checkpoint files that let a killed daemon resume every job
+//!   **byte-identically**.
 //! - [`daemon`]: the TCP front end (thread per connection, blocking
 //!   accept loop, no dependencies beyond `std`).
 //! - [`client`]: a blocking client used by `repro submit` / `repro watch`
@@ -31,9 +31,7 @@
 //! across scheduler turns — or across a daemon kill and restart — cannot
 //! change a single bit of the four deterministic report artifacts: they
 //! are byte-identical to a one-shot `repro campaign` of the same spec at
-//! any thread count. The shared symbolic cache preserves this too: a
-//! cached sparsity plan is the same pure function output a private
-//! analysis would have produced.
+//! any thread count.
 //!
 //! # Example
 //!

@@ -8,9 +8,9 @@
 //!
 //! | request | response(s) |
 //! |---|---|
-//! | `{"cmd":"hello","version":1}` | `{"ok":true,"type":"hello",...}` or `unsupported_version` |
+//! | `{"cmd":"hello","version":2}` | `{"ok":true,"type":"hello",...}` or `unsupported_version` |
 //! | `{"cmd":"submit","tenant":t,"label":l,"stream":b,"spec":{...}}` | `submitted`, then (if `stream`) `die`* and a terminal `done`/`cancelled`/`failed` — or `queue_full` with `retry_after_ms` |
-//! | `{"cmd":"status"}` | `status` with queue/cache/job counters |
+//! | `{"cmd":"status"}` | `status` with queue and job counters |
 //! | `{"cmd":"results","job":n}` or `{"cmd":"results","label":l}` | replayed `die`* then the terminal event |
 //! | `{"cmd":"cancel","job":n}` | `cancelled` |
 //! | `{"cmd":"shutdown"}` | `shutdown`, then the daemon checkpoints and exits |
@@ -24,7 +24,7 @@ use icvbe_campaign::CampaignSpec;
 /// The protocol version this build speaks. A `hello` carrying any other
 /// version is rejected with the typed `unsupported_version` error (which
 /// names the supported version so old clients can say why they failed).
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// A typed protocol-level failure, rendered as a one-line error response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +65,7 @@ pub enum Request {
         /// next to the other variants).
         spec: Box<CampaignSpec>,
     },
-    /// Service status: queue depth, active jobs, cache and job counters.
+    /// Service status: queue depth, active jobs and job counters.
     Status,
     /// Attach to a job's result stream (replays history, then follows).
     Results {

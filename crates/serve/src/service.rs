@@ -11,9 +11,6 @@
 //!
 //! Cross-cutting state:
 //!
-//! - **Shared symbolic-LU cache** ([`SymbolicCache`]): every job's
-//!   workers consult one service-wide cache, so concurrent tenants whose
-//!   netlists share a sparsity pattern pay for one analysis total.
 //! - **Bounded queue**: admissions beyond
 //!   [`ServiceConfig::queue_capacity`] live jobs are rejected with the
 //!   typed `queue_full` error carrying `retry_after_ms` — explicit
@@ -45,7 +42,6 @@ use icvbe_campaign::wire::{spec_fingerprint, spec_from_json, spec_to_json};
 use icvbe_campaign::worker::{run_campaign_streaming, CampaignRun, StreamOptions};
 use icvbe_campaign::CampaignSpec;
 use icvbe_instrument::chaos::{ChaosPlan, ChaosSpec, SocketFault};
-use icvbe_spice::cache::SymbolicCache;
 use icvbe_trace::{SpanKind, SpanPhase, Trace, TraceEvent, NO_DIE};
 
 use crate::protocol::{cancelled_line, die_line, done_line, PROTOCOL_VERSION};
@@ -193,7 +189,7 @@ struct State {
 }
 
 /// A snapshot of the service's own counters (the campaign-level metrics
-/// live per job; these are the queue/cache/tenancy ones the tentpole adds).
+/// live per job; these are the queue, tenancy and checkpoint ones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Jobs accepted into the queue (including resumed ones).
@@ -212,12 +208,6 @@ pub struct ServiceStats {
     pub queue_depth: usize,
     /// Jobs currently in the running state.
     pub active_jobs: usize,
-    /// Shared symbolic-LU cache hits across all jobs.
-    pub cache_hits: u64,
-    /// Shared symbolic-LU cache misses (first analysis of a pattern).
-    pub cache_misses: u64,
-    /// Distinct sparsity patterns cached.
-    pub cache_patterns: usize,
     /// Jobs whose latest checkpoint was corrupt but whose previous
     /// generation loaded (the recovery ladder's middle rung).
     pub resumed_fallback: u64,
@@ -258,7 +248,6 @@ struct Inner {
     config: ServiceConfig,
     state: Mutex<State>,
     wake: Condvar,
-    cache: Arc<SymbolicCache>,
     paused: AtomicBool,
     shutdown: AtomicBool,
     submitted: AtomicU64,
@@ -278,7 +267,7 @@ struct Inner {
     epoch: Instant,
 }
 
-/// The campaign service: job table, scheduler thread, shared caches.
+/// The campaign service: job table and scheduler thread.
 ///
 /// The daemon wraps this in a TCP front end; tests drive it directly.
 pub struct Service {
@@ -533,7 +522,6 @@ impl Inner {
             start_die: task.start_die,
             end_die: Some(end_die),
             resume: Some(task.aggregate),
-            symbolic_cache: Some(Arc::clone(&self.cache)),
             counters: Some(Arc::clone(&task.counters)),
             chaos: self.config.chaos,
             chaos_seed: self.config.chaos_seed,
@@ -712,7 +700,6 @@ impl Service {
                 next_id: 1,
             }),
             wake: Condvar::new(),
-            cache: Arc::new(SymbolicCache::new()),
             paused: AtomicBool::new(paused),
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -1032,9 +1019,6 @@ impl Service {
                 .values()
                 .filter(|j| j.state == JobState::Running)
                 .count(),
-            cache_hits: inner.cache.hits(),
-            cache_misses: inner.cache.misses(),
-            cache_patterns: inner.cache.patterns(),
             resumed_fallback: inner.resumed_fallback.load(Ordering::Relaxed),
             dropped_corrupt: inner.dropped_corrupt.load(Ordering::Relaxed),
             tmp_swept: inner.tmp_swept.load(Ordering::Relaxed),
@@ -1105,7 +1089,6 @@ impl Service {
                 "\"resumed\":{res},\"resumed_fallback\":{resfb},",
                 "\"dropped_corrupt\":{dropc},\"tmp_swept\":{tmps},",
                 "\"oversized\":{over},\"io_timeouts\":{tmo}}},",
-                "\"cache\":{{\"hits\":{hits},\"misses\":{misses},\"patterns\":{pat}}},",
                 "\"jobs\":[{jobs}]}}"
             ),
             version = PROTOCOL_VERSION,
@@ -1123,9 +1106,6 @@ impl Service {
             tmps = s.tmp_swept,
             over = s.oversized,
             tmo = s.io_timeouts,
-            hits = s.cache_hits,
-            misses = s.cache_misses,
-            pat = s.cache_patterns,
             jobs = jobs.join(","),
         )
     }
@@ -1214,7 +1194,6 @@ mod tests {
         assert!(lines[4].contains("\"type\":\"done\""));
         let stats = service.stats();
         assert_eq!(stats.completed, 1);
-        assert!(stats.cache_hits > 0, "shared cache saw no hits");
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn adversarial_lines_earn_typed_errors_and_never_kill_the_daemon() {
     {
         let mut socket = TcpStream::connect(addr).expect("connect");
         socket
-            .write_all(b"{\"cmd\":\"hello\",\"version\":1}\n")
+            .write_all(b"{\"cmd\":\"hello\",\"version\":2}\n")
             .expect("send hello");
         let mut reader = BufReader::new(socket.try_clone().expect("clone"));
         let mut hello = String::new();
@@ -154,7 +154,7 @@ fn chaos_socket_reset_drops_the_connection_before_a_byte() {
     // (or a reset error), never a partial protocol reply.
     let mut socket = TcpStream::connect(addr).expect("connect");
     socket
-        .write_all(b"{\"cmd\":\"hello\",\"version\":1}\n")
+        .write_all(b"{\"cmd\":\"hello\",\"version\":2}\n")
         .expect("send");
     let mut buf = Vec::new();
     let got = socket.read_to_end(&mut buf).map(|_| buf.len());

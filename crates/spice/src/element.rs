@@ -99,12 +99,6 @@ impl Element for Resistor {
         &self.name
     }
 
-    // Conductance depends on temperature and the bound parameter, never
-    // on the iterate.
-    fn jacobian_constant(&self) -> bool {
-        true
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -170,11 +164,6 @@ impl Element for CurrentSource {
         &self.name
     }
 
-    // Stamps no Jacobian entries at all.
-    fn jacobian_constant(&self) -> bool {
-        true
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -236,11 +225,6 @@ impl VoltageSource {
 impl Element for VoltageSource {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    // Incidence entries (±1) only.
-    fn jacobian_constant(&self) -> bool {
-        true
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -351,11 +335,6 @@ impl OpAmp {
 impl Element for OpAmp {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    // Incidence and gain entries are fixed by the instance.
-    fn jacobian_constant(&self) -> bool {
-        true
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -51,7 +51,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bjt;
-pub mod cache;
 pub mod element;
 mod error;
 pub mod export;

@@ -25,11 +25,9 @@ impl Default for DcOptions {
     fn default() -> Self {
         // Residuals are KCL currents; 1e-9 A is far below any signal
         // current in the workloads while staying reachable in f64 for
-        // microamp-scale circuits. The acceptable-residual escape hatch
-        // tolerates a stagnated solve at up to 100 nA of KCL mismatch.
+        // microamp-scale circuits.
         let newton = NewtonOptions {
             residual_tolerance: 1e-9,
-            acceptable_residual: 1e-7,
             max_iterations: 300,
             ..NewtonOptions::default()
         };

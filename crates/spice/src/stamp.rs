@@ -42,44 +42,6 @@ impl EvalContext {
     }
 }
 
-/// Where Jacobian contributions of one element land during a stamping pass.
-///
-/// `Record` and `Replay` implement incremental restamping: the first
-/// Jacobian pass over a hot assembly records every post-ground-drop
-/// `(row, col)` an element touches, in call order, together with the value.
-/// Later passes replay only the slot ranges of elements whose Jacobian
-/// depends on the operating point and re-reduce each matrix entry by
-/// summing its recorded slots in the original call order — so the
-/// floating-point accumulation order, and therefore every bit of the
-/// result, matches a dense pass.
-#[derive(Debug)]
-pub(crate) enum JacSink<'a> {
-    /// Residual-only pass: Jacobian contributions are dropped.
-    None,
-    /// Accumulate straight into a dense matrix (the legacy pass).
-    Dense(&'a mut Matrix),
-    /// Capture `(row, col)` and value of every surviving call, in order.
-    Record {
-        /// Global call sequence, appended per call.
-        seq: &'a mut Vec<(u32, u32)>,
-        /// Value of each recorded call, parallel to `seq`.
-        values: &'a mut Vec<f64>,
-    },
-    /// Rewrite the recorded values of one element's slot range, verifying
-    /// the call sequence still matches the recording (`ok` is cleared on
-    /// any divergence so the caller can fall back to a dense pass).
-    Replay {
-        /// This element's recorded `(row, col)` sequence.
-        seq: &'a [(u32, u32)],
-        /// This element's value slots, rewritten in place.
-        values: &'a mut [f64],
-        /// Next slot to write; must equal `seq.len()` after the stamp.
-        cursor: &'a mut usize,
-        /// Cleared when a call does not match the recording.
-        ok: &'a mut bool,
-    },
-}
-
 /// Number of per-temperature model-card values a [`DeviceSlot`] caches.
 pub const DEVICE_TEMP_SLOTS: usize = 16;
 /// Number of evaluation outputs a [`DeviceSlot`] caches.
@@ -123,8 +85,6 @@ impl Default for DeviceSlot {
 pub(crate) struct StampCounters {
     pub(crate) device_evals: Cell<u64>,
     pub(crate) device_reuses: Cell<u64>,
-    pub(crate) restamp_incremental: Cell<u64>,
-    pub(crate) restamp_full: Cell<u64>,
 }
 
 impl StampCounters {
@@ -132,8 +92,6 @@ impl StampCounters {
         StampEffort {
             device_evals: self.device_evals.take(),
             device_reuses: self.device_reuses.take(),
-            restamp_incremental: self.restamp_incremental.take(),
-            restamp_full: self.restamp_full.take(),
         }
     }
 }
@@ -142,8 +100,8 @@ fn bump(cell: &Cell<u64>) {
     cell.set(cell.get() + 1);
 }
 
-/// A snapshot of stamping effort: how much device evaluation and matrix
-/// restamping work a stretch of solves actually performed.
+/// A snapshot of stamping effort: how much device evaluation work a
+/// stretch of solves actually performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StampEffort {
     /// Full device evaluations performed (model equations run).
@@ -151,11 +109,6 @@ pub struct StampEffort {
     /// Evaluations skipped because the controlling voltages matched the
     /// cached anchor bit-for-bit (always sound).
     pub device_reuses: u64,
-    /// Jacobian passes that rewrote only operating-point-dependent slots.
-    pub restamp_incremental: u64,
-    /// Jacobian passes that stamped every element (recording, constant
-    /// refresh, or dense fallback).
-    pub restamp_full: u64,
 }
 
 /// Mutable view an element stamps through.
@@ -170,7 +123,7 @@ pub struct StampContext<'a> {
     /// Absolute index of this element's first branch unknown.
     branch_base: usize,
     residual: &'a mut [f64],
-    jac: JacSink<'a>,
+    jac: Option<&'a mut Matrix>,
     device: Option<&'a mut DeviceSlot>,
     counters: Option<&'a StampCounters>,
 }
@@ -183,23 +136,7 @@ impl<'a> StampContext<'a> {
         node_count: usize,
         branch_base: usize,
         residual: &'a mut [f64],
-        jacobian: Option<&'a mut Matrix>,
-    ) -> Self {
-        let jac = match jacobian {
-            Some(m) => JacSink::Dense(m),
-            None => JacSink::None,
-        };
-        StampContext::with_sink(eval, x, node_count, branch_base, residual, jac)
-    }
-
-    /// Creates a context with an explicit Jacobian sink.
-    pub(crate) fn with_sink(
-        eval: EvalContext,
-        x: &'a [f64],
-        node_count: usize,
-        branch_base: usize,
-        residual: &'a mut [f64],
-        jac: JacSink<'a>,
+        jac: Option<&'a mut Matrix>,
     ) -> Self {
         StampContext {
             eval,
@@ -265,30 +202,11 @@ impl<'a> StampContext<'a> {
         self.residual[self.node_count + self.branch_base + k] += value;
     }
 
-    /// Routes one surviving (post-ground-drop) Jacobian contribution into
-    /// the active sink.
+    /// Adds one surviving (post-ground-drop) Jacobian contribution to
+    /// the attached matrix, if any.
     fn push_jac(&mut self, r: usize, c: usize, value: f64) {
-        match &mut self.jac {
-            JacSink::None => {}
-            JacSink::Dense(j) => j[(r, c)] += value,
-            JacSink::Record { seq, values } => {
-                seq.push((r as u32, c as u32));
-                values.push(value);
-            }
-            JacSink::Replay {
-                seq,
-                values,
-                cursor,
-                ok,
-            } => {
-                let i = **cursor;
-                if i < seq.len() && seq[i] == (r as u32, c as u32) {
-                    values[i] = value;
-                    **cursor = i + 1;
-                } else {
-                    **ok = false;
-                }
-            }
+        if let Some(j) = self.jac.as_deref_mut() {
+            j[(r, c)] += value;
         }
     }
 
@@ -398,14 +316,6 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// exposed by `ctx`.
     fn stamp(&self, ctx: &mut StampContext<'_>);
 
-    /// Whether every Jacobian value this element stamps is independent of
-    /// the iterate `x` (it may still depend on temperature, gmin, source
-    /// scale or bound parameters). Constant elements are skipped by
-    /// incremental restamp passes until the evaluation context changes.
-    fn jacobian_constant(&self) -> bool {
-        false
-    }
-
     /// Whether the element is an independent source whose value should be
     /// ramped during source stepping.
     fn is_independent_source(&self) -> bool {
@@ -463,98 +373,18 @@ mod tests {
     }
 
     #[test]
-    fn record_then_replay_round_trips_bitwise() {
-        let x = vec![0.5, -0.25];
-        let mut ckt = crate::netlist::Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        let eval = EvalContext::nominal(Kelvin::new(300.0));
-
-        let mut seq = Vec::new();
-        let mut values = Vec::new();
-        let mut residual = vec![0.0; 2];
-        let mut ctx = StampContext::with_sink(
-            eval,
-            &x,
-            2,
-            0,
-            &mut residual,
-            JacSink::Record {
-                seq: &mut seq,
-                values: &mut values,
-            },
-        );
-        ctx.add_jac_node_node(a, a, 1.5);
-        ctx.add_jac_node_node(a, b, -1.5);
-        ctx.add_jac_node_node(NodeId::GROUND, a, 9.0); // dropped, not recorded
-        ctx.add_jac_node_node(b, b, 2.5);
-        assert_eq!(seq, vec![(0, 0), (0, 1), (1, 1)]);
-        assert_eq!(values, vec![1.5, -1.5, 2.5]);
-
-        let mut cursor = 0usize;
-        let mut ok = true;
-        let mut residual = vec![0.0; 2];
-        let mut ctx = StampContext::with_sink(
-            eval,
-            &x,
-            2,
-            0,
-            &mut residual,
-            JacSink::Replay {
-                seq: &seq,
-                values: &mut values,
-                cursor: &mut cursor,
-                ok: &mut ok,
-            },
-        );
-        ctx.add_jac_node_node(a, a, 3.5);
-        ctx.add_jac_node_node(a, b, -3.5);
-        ctx.add_jac_node_node(NodeId::GROUND, a, 9.0);
-        ctx.add_jac_node_node(b, b, 4.5);
-        assert!(ok);
-        assert_eq!(cursor, 3);
-        assert_eq!(values, vec![3.5, -3.5, 4.5]);
-    }
-
-    #[test]
-    fn replay_flags_a_diverging_sequence() {
-        let x = vec![0.0];
-        let seq = vec![(0u32, 0u32)];
-        let mut values = vec![1.0];
-        let mut cursor = 0usize;
-        let mut ok = true;
-        let mut residual = vec![0.0; 1];
-        let mut ctx = StampContext::with_sink(
-            EvalContext::nominal(Kelvin::new(300.0)),
-            &x,
-            1,
-            0,
-            &mut residual,
-            JacSink::Replay {
-                seq: &seq,
-                values: &mut values,
-                cursor: &mut cursor,
-                ok: &mut ok,
-            },
-        );
-        // Recorded (0,0) but the element now stamps a branch entry.
-        ctx.add_jac_branch_branch(0, 0, 2.0);
-        assert!(!ok);
-    }
-
-    #[test]
     fn device_slot_exact_reuse_and_temperature_invalidation() {
         let x: Vec<f64> = vec![];
         let mut residual: Vec<f64> = vec![];
         let mut slot = DeviceSlot::default();
         let counters = StampCounters::default();
-        let mut ctx = StampContext::with_sink(
+        let mut ctx = StampContext::new(
             EvalContext::nominal(Kelvin::new(300.0)),
             &x,
             0,
             0,
             &mut residual,
-            JacSink::None,
+            None,
         );
         ctx.attach_device(&mut slot, &counters);
 

@@ -3,11 +3,10 @@
 //! solves against a single Jacobian factorization.
 //!
 //! All sweep points share one [`CircuitAssembly`] and one
-//! [`SolveWorkspace`], so the frozen symbolic factorization, the
-//! incremental restamping plan, and the device caches survive from point
-//! to point exactly as they do inside a campaign die. The solve path is
-//! a pure speed knob: results are bitwise identical to dense-LU solves on
-//! fresh assemblies.
+//! [`SolveWorkspace`], so the solver buffers and the device caches
+//! survive from point to point exactly as they do inside a campaign die.
+//! The caches are exact-bit reuse only: results are bitwise identical to
+//! solves on fresh assemblies.
 
 use icvbe_numerics::lu::LuFactors;
 use icvbe_numerics::newton::NonlinearSystem;
@@ -27,8 +26,7 @@ use crate::SpiceError;
 /// warm start.
 ///
 /// The circuit is compiled once; every step reuses the same assembly and
-/// workspace, so steps after the first restamp incrementally and solve
-/// through the frozen sparse plan.
+/// workspace, so steps after the first allocate nothing.
 ///
 /// Returns one operating point per value, in order.
 ///
@@ -309,27 +307,6 @@ mod tests {
             standalone.voltage(e).value().to_bits()
         );
         assert_eq!(swept[0].solution(), standalone.solution());
-    }
-
-    #[test]
-    fn sparse_sweep_matches_dense_first_solves_bitwise() {
-        // The frozen symbolic plan kicks in from the second point of the
-        // sweep. The oracle re-solves every point on a fresh assembly,
-        // which has no plan yet and so factors dense, seeded from its own
-        // previous point: every point must match bit for bit.
-        let (c, _) = pnp_under_bias();
-        let temps = temperature_grid(Kelvin::new(248.15), Kelvin::new(348.15), 7);
-        let opts = DcOptions::default();
-        let swept = temperature_sweep(&c, &temps, &opts).unwrap();
-        let mut warm: Option<Vec<f64>> = None;
-        for (i, &t) in temps.iter().enumerate() {
-            let assembly = CircuitAssembly::new(&c).unwrap();
-            assert!(assembly.symbolic_plan().is_none());
-            let mut ws = SolveWorkspace::new();
-            solve_dc_with(&c, &assembly, t, &opts, warm.as_deref(), &mut ws).unwrap();
-            assert_eq!(swept[i].solution(), ws.solution(), "point {i} diverged");
-            warm = Some(ws.solution().to_vec());
-        }
     }
 
     #[test]

@@ -3,54 +3,21 @@
 //!
 //! Two stamping regimes share one arithmetic contract. A *cold* system
 //! ([`CircuitSystem::new`] / [`CircuitSystem::with_assembly`]) stamps every
-//! element densely on every call — the reference path. A *hot* system (the
-//! solver's internal path) additionally records, on its first Jacobian
-//! pass, the exact post-ground-drop `(row, col)` call sequence of every
-//! element; later passes re-stamp only elements whose Jacobian depends on
-//! the operating point and rebuild each matrix entry by summing its
-//! recorded slots in original call order. Because floating-point addition
-//! is order-sensitive, preserving the call order is what makes the
-//! incremental result bit-identical to the dense one. The recorded pattern
-//! also arms the frozen symbolic plan the sparse LU path factors against.
+//! element with no memory between calls — the reference path. A *hot*
+//! system (the solver's internal path) runs the same dense stamping pass
+//! but attaches the assembly's per-element device caches, so a BJT reuses
+//! its temperature-mapped model card and any junction evaluation at an
+//! unchanged `(VBE, VBC)`. A reused evaluation is the evaluation itself, so
+//! hot and cold passes produce bitwise identical residuals and Jacobians.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::cell::RefCell;
 
 use icvbe_numerics::newton::NonlinearSystem;
-use icvbe_numerics::sparse::LuSymbolic;
 use icvbe_numerics::{Matrix, NumericsError};
 
-use crate::cache::SymbolicCache;
 use crate::netlist::Circuit;
-use crate::stamp::{DeviceSlot, EvalContext, JacSink, StampContext, StampCounters, StampEffort};
+use crate::stamp::{DeviceSlot, EvalContext, StampContext, StampCounters, StampEffort};
 use crate::SpiceError;
-
-/// The recorded incremental-restamp plan of one assembly: slot ranges per
-/// element, the global call sequence with current values, and the ordered
-/// per-entry reduction lists.
-#[derive(Debug)]
-struct StampPlan {
-    /// `(start, end)` slot range of each element, parallel to the circuit.
-    ranges: Vec<(u32, u32)>,
-    /// Whether each element's Jacobian is independent of the iterate.
-    constant: Vec<bool>,
-    /// Recorded `(row, col)` of every Jacobian call, in call order.
-    seq: Vec<(u32, u32)>,
-    /// Current value of every recorded call, parallel to `seq`.
-    values: Vec<f64>,
-    /// Unique matrix entries touched (plus every node diagonal for gmin).
-    entries: Vec<(u32, u32)>,
-    /// Per-entry range into `contrib_idx` (`entries.len() + 1` offsets).
-    contrib_ptr: Vec<u32>,
-    /// Slot indices contributing to each entry, ascending (= call order).
-    contrib_idx: Vec<u32>,
-    /// Evaluation context the constant slots were last stamped at.
-    const_eval: Option<EvalContext>,
-    /// Set when a replay diverged from the recording; the assembly then
-    /// permanently falls back to dense stamping.
-    broken: bool,
-}
 
 /// The solve-invariant part of a circuit binding: unknown layout plus the
 /// Jacobian residual scratch.
@@ -73,16 +40,6 @@ pub struct CircuitAssembly {
     device_slots: RefCell<Vec<DeviceSlot>>,
     /// Stamping-effort counters, drained per solve into the solve stats.
     counters: StampCounters,
-    /// Incremental-restamp plan, recorded by the first hot Jacobian pass.
-    plan: RefCell<Option<StampPlan>>,
-    /// Frozen symbolic elimination plan derived from the recorded pattern.
-    symbolic: RefCell<Option<Arc<LuSymbolic>>>,
-    /// Optional process-wide plan cache consulted (instead of a private
-    /// analysis) when the recorded pattern arms the symbolic plan.
-    symbolic_cache: RefCell<Option<Arc<SymbolicCache>>>,
-    /// Forces the next hot Jacobian pass to restamp constant elements
-    /// (bound parameters may have changed between solves).
-    constants_dirty: Cell<bool>,
 }
 
 impl CircuitAssembly {
@@ -115,37 +72,7 @@ impl CircuitAssembly {
             jac_scratch: RefCell::new(vec![0.0; node_count + next]),
             device_slots: RefCell::new(vec![DeviceSlot::default(); element_count]),
             counters: StampCounters::default(),
-            plan: RefCell::new(None),
-            symbolic: RefCell::new(None),
-            symbolic_cache: RefCell::new(None),
-            constants_dirty: Cell::new(true),
         }
-    }
-
-    /// The frozen symbolic elimination plan for this topology, available
-    /// once the first hot Jacobian pass has recorded the sparsity pattern.
-    /// Factorizations through it are bit-identical to dense LU.
-    #[must_use]
-    pub fn symbolic_plan(&self) -> Option<Arc<LuSymbolic>> {
-        self.symbolic.borrow().clone()
-    }
-
-    /// Installs a shared [`SymbolicCache`]: when the first hot Jacobian
-    /// pass records the sparsity pattern, the symbolic plan is taken from
-    /// (or analyzed into) the cache instead of analyzed privately. The
-    /// cache is keyed by the exact pattern, so solves through a cached
-    /// plan are bit-identical to solves through a private analysis.
-    ///
-    /// A no-op on an assembly whose plan is already armed.
-    pub fn set_symbolic_cache(&self, cache: Arc<SymbolicCache>) {
-        *self.symbolic_cache.borrow_mut() = Some(cache);
-    }
-
-    /// Marks parameter-dependent constants stale so the next Jacobian pass
-    /// restamps every element. Called at solve entry: bound [`crate::param::Param`]
-    /// values may have changed since the previous solve.
-    pub fn invalidate_constants(&self) {
-        self.constants_dirty.set(true);
     }
 
     /// Returns and resets the stamping-effort counters accumulated since
@@ -195,8 +122,8 @@ pub struct CircuitSystem<'a> {
     circuit: &'a Circuit,
     eval: EvalContext,
     assembly: AssemblyRef<'a>,
-    /// Hot systems use the assembly's device caches and incremental
-    /// restamp plan; cold systems stamp densely on every call.
+    /// Hot systems attach the assembly's device caches; cold systems
+    /// evaluate every device from scratch.
     hot: bool,
 }
 
@@ -229,8 +156,8 @@ impl<'a> CircuitSystem<'a> {
         }
     }
 
-    /// The solver's internal binding: device caches and incremental
-    /// restamping are active.
+    /// The solver's internal binding: the assembly's device caches are
+    /// attached to every stamping pass.
     pub(crate) fn hot_path(
         circuit: &'a Circuit,
         eval: EvalContext,
@@ -331,219 +258,11 @@ impl<'a> CircuitSystem<'a> {
         }
     }
 
-    /// One Jacobian-bearing stamping pass: records the plan on first use,
-    /// replays it incrementally afterwards, and falls back to the dense
-    /// pass on cold systems or a diverged recording. Residual accumulation
-    /// is bitwise identical across all three routes.
+    /// One Jacobian-bearing stamping pass into a zeroed matrix.
     fn stamp_jacobian(&self, x: &[f64], residual: &mut [f64], out: &mut Matrix) {
-        if !self.hot {
-            out.fill(0.0);
-            self.stamp_all(x, residual, Some(out));
-            return;
-        }
-        let asm = self.asm();
-        let mut plan_cell = asm.plan.borrow_mut();
-        match plan_cell.as_mut() {
-            None => {
-                *plan_cell = Some(self.record_plan(x, residual, out));
-                bump(&asm.counters.restamp_full);
-            }
-            Some(plan) if plan.broken => {
-                out.fill(0.0);
-                self.stamp_all(x, residual, Some(out));
-                bump(&asm.counters.restamp_full);
-            }
-            Some(plan) => {
-                let refresh = asm.constants_dirty.get() || plan.const_eval != Some(self.eval);
-                if self.replay_plan(plan, refresh, x, residual) {
-                    if refresh {
-                        plan.const_eval = Some(self.eval);
-                        asm.constants_dirty.set(false);
-                        bump(&asm.counters.restamp_full);
-                    } else {
-                        bump(&asm.counters.restamp_incremental);
-                    }
-                    Self::reduce_plan(plan, asm.node_count, self.eval.gmin, out);
-                    self.gmin_residual_and_jac(x, residual, None);
-                } else {
-                    // The call sequence diverged from the recording (an
-                    // element with value-dependent stamping structure):
-                    // permanently fall back to dense stamping.
-                    plan.broken = true;
-                    residual.fill(0.0);
-                    out.fill(0.0);
-                    self.stamp_all(x, residual, Some(out));
-                    bump(&asm.counters.restamp_full);
-                }
-            }
-        }
-    }
-
-    /// Records the full stamp-call sequence at `x`, builds the per-entry
-    /// reduction lists, arms the frozen symbolic plan, and produces this
-    /// pass's Jacobian and residual.
-    fn record_plan(&self, x: &[f64], residual: &mut [f64], out: &mut Matrix) -> StampPlan {
-        let asm = self.asm();
-        let elements = self.circuit.elements();
-        let mut seq: Vec<(u32, u32)> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut ranges = Vec::with_capacity(elements.len());
-        let mut constant = Vec::with_capacity(elements.len());
-        {
-            let mut slots = asm.device_slots.borrow_mut();
-            for (i, (e, &base)) in elements.iter().zip(&asm.branch_bases).enumerate() {
-                let start = seq.len() as u32;
-                let mut ctx = StampContext::with_sink(
-                    self.eval,
-                    x,
-                    asm.node_count,
-                    base,
-                    residual,
-                    JacSink::Record {
-                        seq: &mut seq,
-                        values: &mut values,
-                    },
-                );
-                ctx.attach_device(&mut slots[i], &asm.counters);
-                e.stamp(&mut ctx);
-                ranges.push((start, seq.len() as u32));
-                constant.push(e.jacobian_constant());
-            }
-        }
-
-        // Per-entry reduction lists: BTreeMap gives deterministic entry
-        // order; within an entry the slot list is ascending, i.e. call
-        // order — the order a dense pass accumulates in. Node diagonals
-        // are forced so gmin lands even where no element stamps.
-        let mut map: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
-        for (slot, &rc) in seq.iter().enumerate() {
-            map.entry(rc).or_default().push(slot as u32);
-        }
-        for i in 0..asm.node_count as u32 {
-            map.entry((i, i)).or_default();
-        }
-        let mut entries = Vec::with_capacity(map.len());
-        let mut contrib_ptr = Vec::with_capacity(map.len() + 1);
-        let mut contrib_idx = Vec::new();
-        contrib_ptr.push(0u32);
-        for (rc, slots) in &map {
-            entries.push(*rc);
-            contrib_idx.extend_from_slice(slots);
-            contrib_ptr.push(contrib_idx.len() as u32);
-        }
-
-        if asm.symbolic.borrow().is_none() {
-            // A shared cache (if installed) answers from the process-wide
-            // map; the fallback analyzes privately. Either way the plan is
-            // a pure function of (dimension, entries).
-            let shared = asm
-                .symbolic_cache
-                .borrow()
-                .as_ref()
-                .and_then(|cache| cache.plan_for(asm.dimension, &entries));
-            let sym = match shared {
-                Some(plan) => Some(plan),
-                None => {
-                    let pattern: Vec<(usize, usize)> = entries
-                        .iter()
-                        .map(|&(r, c)| (r as usize, c as usize))
-                        .collect();
-                    LuSymbolic::analyze(asm.dimension, &pattern)
-                        .ok()
-                        .map(Arc::new)
-                }
-            };
-            *asm.symbolic.borrow_mut() = sym;
-        }
-
-        let plan = StampPlan {
-            ranges,
-            constant,
-            seq,
-            values,
-            entries,
-            contrib_ptr,
-            contrib_idx,
-            const_eval: Some(self.eval),
-            broken: false,
-        };
-        asm.constants_dirty.set(false);
-        Self::reduce_plan(&plan, asm.node_count, self.eval.gmin, out);
-        self.gmin_residual_and_jac(x, residual, None);
-        plan
-    }
-
-    /// Re-stamps the residual of every element and the Jacobian slots of
-    /// non-constant elements (all elements when `refresh` is set). Returns
-    /// false if any element's call sequence diverged from the recording.
-    fn replay_plan(
-        &self,
-        plan: &mut StampPlan,
-        refresh: bool,
-        x: &[f64],
-        residual: &mut [f64],
-    ) -> bool {
-        let asm = self.asm();
-        let elements = self.circuit.elements();
-        if plan.ranges.len() != elements.len() {
-            return false;
-        }
-        let mut slots = asm.device_slots.borrow_mut();
-        let StampPlan {
-            ranges,
-            constant,
-            seq,
-            values,
-            ..
-        } = plan;
-        for (i, (e, &base)) in elements.iter().zip(&asm.branch_bases).enumerate() {
-            let (lo, hi) = (ranges[i].0 as usize, ranges[i].1 as usize);
-            let mut cursor = 0usize;
-            let mut ok = true;
-            let skip = constant[i] && !refresh;
-            let sink = if skip {
-                JacSink::None
-            } else {
-                JacSink::Replay {
-                    seq: &seq[lo..hi],
-                    values: &mut values[lo..hi],
-                    cursor: &mut cursor,
-                    ok: &mut ok,
-                }
-            };
-            let mut ctx =
-                StampContext::with_sink(self.eval, x, asm.node_count, base, residual, sink);
-            ctx.attach_device(&mut slots[i], &asm.counters);
-            e.stamp(&mut ctx);
-            if !skip && (!ok || cursor != hi - lo) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Rebuilds every recorded matrix entry from its slot values: sum in
-    /// recorded call order starting from zero, then gmin on node diagonals
-    /// — exactly the accumulation sequence of a dense pass.
-    fn reduce_plan(plan: &StampPlan, node_count: usize, gmin: f64, out: &mut Matrix) {
         out.fill(0.0);
-        for (e, &(r, c)) in plan.entries.iter().enumerate() {
-            let lo = plan.contrib_ptr[e] as usize;
-            let hi = plan.contrib_ptr[e + 1] as usize;
-            let mut s = 0.0;
-            for &ci in &plan.contrib_idx[lo..hi] {
-                s += plan.values[ci as usize];
-            }
-            if r == c && (r as usize) < node_count && gmin > 0.0 {
-                s += gmin;
-            }
-            out[(r as usize, c as usize)] = s;
-        }
+        self.stamp_all(x, residual, Some(out));
     }
-}
-
-fn bump(cell: &Cell<u64>) {
-    cell.set(cell.get() + 1);
 }
 
 impl NonlinearSystem for CircuitSystem<'_> {
@@ -582,10 +301,9 @@ impl NonlinearSystem for CircuitSystem<'_> {
         jac: &mut Matrix,
     ) -> Result<(), NumericsError> {
         // One stamping pass fills both. Residual accumulation does not
-        // depend on whether a Jacobian is attached (or replayed
-        // incrementally), so `f` is bitwise identical to what `residual`
-        // alone writes — the contract the polish canonicalization
-        // depends on.
+        // depend on whether a Jacobian is attached, so `f` is bitwise
+        // identical to what `residual` alone writes — the contract the
+        // polish canonicalization depends on.
         f.fill(0.0);
         self.stamp_jacobian(x, f, jac);
         if f.iter().any(|v| !v.is_finite()) {
@@ -707,7 +425,9 @@ mod tests {
     }
 
     #[test]
-    fn hot_incremental_jacobian_matches_cold_dense_bitwise() {
+    fn hot_device_cached_solve_matches_cold_bitwise() {
+        use icvbe_numerics::newton::{solve_newton_with, NewtonOptions, NewtonWorkspace};
+
         let c = menagerie();
         let asm = CircuitAssembly::new(&c).unwrap();
         let n = asm.dimension();
@@ -716,10 +436,12 @@ mod tests {
         let hot = CircuitSystem::hot_path(&c, eval, &asm);
         let cold = CircuitSystem::new(&c, eval);
 
+        // Stamping: revisiting a point is served from the device caches,
+        // and the cached pass must match a from-scratch pass to the bit.
         let points: Vec<Vec<f64>> = vec![
             vec![0.0; n],
             (0..n).map(|i| 0.1 * i as f64 - 0.2).collect(),
-            (0..n).map(|i| 0.55 - 0.01 * i as f64).collect(),
+            vec![0.0; n],
             vec![0.3; n],
         ];
         let mut jh = Matrix::zeros(n, n);
@@ -736,65 +458,23 @@ mod tests {
             let jc_bits: Vec<u64> = jc.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(jh_bits, jc_bits, "jacobian bits at {x:?}");
         }
-        // The first pass recorded, later passes replayed incrementally.
         let effort = asm.take_stamp_effort();
-        assert_eq!(effort.restamp_full, 1);
-        assert_eq!(effort.restamp_incremental, points.len() as u64 - 1);
         assert!(effort.device_evals > 0);
-    }
+        assert!(effort.device_reuses > 0, "{effort:?}");
 
-    #[test]
-    fn eval_context_change_refreshes_constant_elements() {
-        let c = menagerie();
-        let asm = CircuitAssembly::new(&c).unwrap();
-        let n = asm.dimension();
-        let eval_a = EvalContext::nominal(Kelvin::new(298.15));
-        let mut eval_b = eval_a;
-        eval_b.gmin = 1e-3;
-        let mut hot = CircuitSystem::hot_path(&c, eval_a, &asm);
-        let x: Vec<f64> = (0..n).map(|i| 0.05 * i as f64).collect();
-        let mut j_hot = Matrix::zeros(n, n);
-        let mut f = vec![0.0; n];
-        hot.residual_and_jacobian(&x, &mut f, &mut j_hot).unwrap();
-        hot.set_eval(eval_b);
-        hot.residual_and_jacobian(&x, &mut f, &mut j_hot).unwrap();
-
-        let cold = CircuitSystem::new(&c, eval_b);
-        let mut j_cold = Matrix::zeros(n, n);
-        let mut fc = vec![0.0; n];
-        cold.residual_and_jacobian(&x, &mut fc, &mut j_cold)
-            .unwrap();
-        assert_eq!(
-            j_hot
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            j_cold
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-        );
-        // Both passes were full restamps (record, then constant refresh).
-        let effort = asm.take_stamp_effort();
-        assert_eq!(effort.restamp_full, 2);
-        assert_eq!(effort.restamp_incremental, 0);
-    }
-
-    #[test]
-    fn recording_arms_the_symbolic_plan_with_forced_diagonals() {
-        let c = divider();
-        let asm = CircuitAssembly::new(&c).unwrap();
-        assert!(asm.symbolic_plan().is_none());
-        let eval = EvalContext::nominal(Kelvin::new(300.0));
-        let hot = CircuitSystem::hot_path(&c, eval, &asm);
-        let mut j = Matrix::zeros(3, 3);
-        hot.jacobian(&[0.0; 3], &mut j).unwrap();
-        let plan = asm.symbolic_plan().expect("armed by first jacobian pass");
-        assert_eq!(plan.dimension(), 3);
-        // The voltage-source branch has no diagonal stamp, but the plan
-        // must still pivot through it.
-        assert!(plan.in_pattern(2, 2));
+        // Solving: the same damped + polished Newton run through either
+        // binding lands on the same bits.
+        let opts = NewtonOptions {
+            polish: true,
+            ..NewtonOptions::default()
+        };
+        let mut xh = vec![0.0; n];
+        let mut xc = vec![0.0; n];
+        let ih = solve_newton_with(&hot, &mut xh, opts, &mut NewtonWorkspace::new()).unwrap();
+        let ic = solve_newton_with(&cold, &mut xc, opts, &mut NewtonWorkspace::new()).unwrap();
+        assert_eq!(ih, ic);
+        let xh_bits: Vec<u64> = xh.iter().map(|v| v.to_bits()).collect();
+        let xc_bits: Vec<u64> = xc.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(xh_bits, xc_bits);
     }
 }

@@ -92,11 +92,6 @@ impl Element for Vccs {
         &self.name
     }
 
-    // The four ±gm entries are fixed by the instance.
-    fn jacobian_constant(&self) -> bool {
-        true
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

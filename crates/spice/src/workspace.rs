@@ -58,10 +58,6 @@ pub struct SolveStats {
     pub polish_cap_hits: u64,
     /// Last-ulp cluster walks that stopped at their member cap.
     pub cluster_cap_hits: u64,
-    /// Jacobian passes that rewrote only operating-point-dependent slots.
-    pub restamp_incremental: u64,
-    /// Jacobian passes that stamped every element.
-    pub restamp_full: u64,
 }
 
 impl SolveStats {
@@ -129,8 +125,6 @@ pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) 
     let effort = assembly.take_stamp_effort();
     ws.stats.device_evals += effort.device_evals;
     ws.stats.device_reuses += effort.device_reuses;
-    ws.stats.restamp_incremental += effort.restamp_incremental;
-    ws.stats.restamp_full += effort.restamp_full;
 }
 
 /// One traced Newton solve from `ws.x`, booking the polish cap hits into
@@ -227,18 +221,7 @@ pub fn solve_dc_with(
         gmin: options.gmin_floor,
         source_scale: 1.0,
     };
-    // Bound element parameters may have changed since the last solve
-    // through this assembly; force one full restamp before going
-    // incremental again.
-    assembly.invalidate_constants();
     let mut system = CircuitSystem::hot_path(circuit, eval, assembly);
-    // The symbolic plan is armed by the first recording pass, so a fresh
-    // assembly runs its first solve through dense LU and binds the frozen
-    // factorization from the second solve on (bitwise identical results).
-    match assembly.symbolic_plan() {
-        Some(plan) => ws.newton.use_sparse_plan(&plan),
-        None => ws.newton.use_dense(),
-    }
     let n = assembly.dimension();
     ws.ensure(n);
     let warm = matches!(initial, Some(x) if x.len() == n);
@@ -525,8 +508,6 @@ mod tests {
             device_reuses: 9,
             polish_cap_hits: 1,
             cluster_cap_hits: 2,
-            restamp_incremental: 11,
-            restamp_full: 3,
         };
         let taken = stats.take();
         assert_eq!(taken.solves, 3);

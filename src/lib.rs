@@ -23,8 +23,8 @@
 //! - [`trace`] — structured span tracing with deterministic logical
 //!   ordering and Chrome trace-event / collapsed-stack exports,
 //! - [`serve`] — the campaign service: a multi-tenant daemon with a
-//!   bounded job queue, fair slice scheduling, shared symbolic-LU caches,
-//!   streaming results and checkpoint/resume.
+//!   bounded job queue, fair slice scheduling, streaming results and
+//!   checkpoint/resume.
 //!
 //! # Quickstart
 //!
