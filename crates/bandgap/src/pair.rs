@@ -9,7 +9,7 @@
 use icvbe_spice::bjt::{Bjt, BjtParams, Polarity, SubstrateJunction};
 use icvbe_spice::element::CurrentSource;
 use icvbe_spice::netlist::{Circuit, NodeId};
-use icvbe_spice::solver::{solve_dc, DcOptions, OperatingPoint};
+use icvbe_spice::solver::DcOptions;
 use icvbe_spice::system::CircuitAssembly;
 use icvbe_spice::workspace::{solve_dc_with, SolveWorkspace};
 use icvbe_spice::SpiceError;
@@ -113,7 +113,8 @@ impl PairStructure {
     pub fn compile(&self) -> Result<CompiledPair, SpiceError> {
         let (circuit, va, vb) = self.build()?;
         let assembly = CircuitAssembly::new(&circuit)?;
-        // Readout devices: same construction as `read` performs per call.
+        // Readout devices: QA and QB without the substrate parasitic, whose
+        // collector currents reconstruct the measured IC.
         let gnd = Circuit::ground();
         let qa = Bjt::new("QA", gnd, gnd, va, Polarity::Pnp, self.card)?;
         let qb =
@@ -127,66 +128,25 @@ impl PairStructure {
             qa,
             qb,
             warm: Vec::new(),
-            has_warm: false,
         })
     }
 
     /// Solves the structure at one temperature and reads out the pair.
     ///
+    /// A one-shot cold [`CompiledPair::measure_at`] with
+    /// [`polished_dc_options`]: the same solve every campaign measurement
+    /// runs.
+    ///
     /// # Errors
     ///
     /// Propagates build and solver failures.
     pub fn measure(&self, temperature: Kelvin) -> Result<PairReading, SpiceError> {
-        self.measure_with_options(temperature, &DcOptions::default())
-    }
-
-    /// [`PairStructure::measure`] with explicit solver options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build and solver failures.
-    pub fn measure_with_options(
-        &self,
-        temperature: Kelvin,
-        options: &DcOptions,
-    ) -> Result<PairReading, SpiceError> {
-        let (ckt, va, vb) = self.build()?;
-        let op = solve_dc(&ckt, temperature, options, None)?;
-        self.read(&op, va, vb, temperature)
-    }
-
-    fn read(
-        &self,
-        op: &OperatingPoint,
-        va: NodeId,
-        vb: NodeId,
-        temperature: Kelvin,
-    ) -> Result<PairReading, SpiceError> {
-        let vbe_a = op.voltage(va);
-        let vbe_b = op.voltage(vb);
-        // Collector currents: bias minus base current minus substrate
-        // leakage; reconstruct from the device equations at the solved
-        // voltages. The card and ratio were validated at construction, so
-        // these rebuilds cannot fail in practice — but propagate rather
-        // than panic if that invariant ever breaks.
-        let qa = Bjt::new(
-            "QA",
-            Circuit::ground(),
-            Circuit::ground(),
-            va,
-            Polarity::Pnp,
-            self.card,
-        )?;
-        let qb = Bjt::new(
-            "QB",
-            Circuit::ground(),
-            Circuit::ground(),
-            vb,
-            Polarity::Pnp,
-            self.card,
-        )?
-        .with_area(self.area_ratio)?;
-        Ok(self.reading_from(vbe_a, vbe_b, &qa, &qb, temperature))
+        self.compile()?.measure_at(
+            temperature,
+            &polished_dc_options(),
+            &mut SolveWorkspace::new(),
+            false,
+        )
     }
 
     fn reading_from(
@@ -221,6 +181,21 @@ impl PairStructure {
     }
 }
 
+/// Solver options of every pair measurement: the circuit defaults plus
+/// Newton polishing.
+///
+/// The defaults stop Newton once the KCL residual is below 1e-9 A, which is
+/// 10 % of a 10 nA bias. Polishing runs Newton on to the floating-point
+/// fixed point, so the reading no longer depends on where the solve started
+/// (see [`icvbe_numerics::newton::NewtonOptions::polish`]) and low-current
+/// readings are accurate to the solver's precision.
+#[must_use]
+pub fn polished_dc_options() -> DcOptions {
+    let mut options = DcOptions::default();
+    options.newton.polish = true;
+    options
+}
+
 /// One temperature point of the pair measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairReading {
@@ -239,7 +214,8 @@ pub struct PairReading {
 }
 
 /// A [`PairStructure`] bound to its built netlist, validated assembly and
-/// cached readout devices — the hot-path form of [`PairStructure::measure`].
+/// cached readout devices: the one path every pair measurement solves
+/// through. [`PairStructure::measure`] is its one-shot cold use.
 ///
 /// The electro-thermal fixed point re-solves the same circuit dozens of
 /// times per setpoint; a compiled pair builds and validates it once, and
@@ -257,7 +233,6 @@ pub struct CompiledPair {
     qa: Bjt,
     qb: Bjt,
     warm: Vec<f64>,
-    has_warm: bool,
 }
 
 impl CompiledPair {
@@ -267,17 +242,13 @@ impl CompiledPair {
         &self.structure
     }
 
-    /// Forgets the carried solution; the next solve starts cold.
-    pub fn reset_warm(&mut self) {
-        self.has_warm = false;
-    }
-
     /// Solves the compiled structure at one temperature and reads out the
     /// pair, drawing all solver storage from `ws`.
     ///
     /// With `warm_start`, Newton is seeded from the last converged
-    /// solution of this pair (if any); the converged vector is carried
-    /// forward either way so a later warm-started call can use it.
+    /// solution of this pair (if any); without it the solve starts cold.
+    /// The converged vector is carried forward either way so a later
+    /// warm-started call can use it.
     ///
     /// # Errors
     ///
@@ -289,7 +260,7 @@ impl CompiledPair {
         ws: &mut SolveWorkspace,
         warm_start: bool,
     ) -> Result<PairReading, SpiceError> {
-        let initial = if warm_start && self.has_warm {
+        let initial = if warm_start && !self.warm.is_empty() {
             Some(self.warm.as_slice())
         } else {
             None
@@ -307,7 +278,6 @@ impl CompiledPair {
             self.warm.resize(x.len(), 0.0);
         }
         self.warm.copy_from_slice(x);
-        self.has_warm = true;
         let vbe_a = voltage_of(x, self.va);
         let vbe_b = voltage_of(x, self.vb);
         Ok(self
@@ -327,6 +297,7 @@ fn voltage_of(x: &[f64], node: NodeId) -> Volt {
 mod tests {
     use super::*;
     use crate::card::st_bicmos_pnp;
+    use icvbe_spice::solver::solve_dc;
     use icvbe_units::constants::BOLTZMANN_OVER_Q;
 
     #[test]
@@ -403,25 +374,40 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cold_measure_matches_one_shot_bitwise() {
-        let pair = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6));
-        let mut compiled = pair.compile().unwrap();
-        let mut ws = SolveWorkspace::new();
-        let opts = DcOptions::default();
-        for t in [248.15, 298.15, 348.15] {
-            let t = Kelvin::new(t);
-            let one_shot = pair.measure_with_options(t, &opts).unwrap();
-            compiled.reset_warm();
-            let reused = compiled.measure_at(t, &opts, &mut ws, false).unwrap();
-            assert_eq!(one_shot, reused, "at {t}");
+    fn measure_matches_a_tightly_converged_reference_at_every_bias() {
+        // `measure` against a full-Newton reference of the same netlist,
+        // driven to a 1e-15 A residual, over the paper's C1 current range
+        // (Fig. 6) and the campaign corners. VBE is QA's, the one the
+        // extraction consumes; QB enters through dVBE. A solve stopped at
+        // the default 1e-9 A residual misses by up to 2.3e-2 in dVBE at
+        // 10 nA.
+        let mut reference_options = DcOptions::default();
+        reference_options.newton.residual_tolerance = 1e-15;
+        let ideal = |bias| PairStructure::ideal(st_bicmos_pnp(), Ampere::new(bias));
+        let (mut worst_dvbe, mut worst_vbe) = (0.0_f64, 0.0_f64);
+        for bias in [1e-8, 1e-7, 0.5e-6, 1e-6, 2e-6, 1e-5] {
+            let leaky = ideal(bias).with_substrate(SubstrateJunction::bicmos_default());
+            for pair in [ideal(bias), leaky] {
+                let (ckt, va, vb) = pair.build().unwrap();
+                for i in 0..8 {
+                    let t = Kelvin::new(223.15 + 25.0 * f64::from(i));
+                    let got = pair.measure(t).unwrap();
+                    let op = solve_dc(&ckt, t, &reference_options, None).unwrap();
+                    let (vbe_a, vbe_b) = (op.voltage(va).value(), op.voltage(vb).value());
+                    let rel = |a: f64, b: f64| ((a - b) / b).abs();
+                    worst_dvbe = worst_dvbe.max(rel(got.dvbe.value(), vbe_a - vbe_b));
+                    worst_vbe = worst_vbe.max(rel(got.vbe_a.value(), vbe_a));
+                }
+            }
         }
+        assert!(worst_dvbe < 1e-6, "dVBE off by {worst_dvbe:e} relative");
+        assert!(worst_vbe < 1e-8, "VBE off by {worst_vbe:e} relative");
     }
 
     #[test]
     fn warm_start_with_polish_is_bit_identical_to_cold() {
         let pair = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6));
-        let mut opts = DcOptions::default();
-        opts.newton.polish = true;
+        let opts = polished_dc_options();
 
         // Cold pass: every solve from zeros.
         let mut cold_pair = pair.compile().unwrap();
@@ -431,10 +417,7 @@ mod tests {
             .collect();
         let cold: Vec<PairReading> = temps
             .iter()
-            .map(|&t| {
-                cold_pair.reset_warm();
-                cold_pair.measure_at(t, &opts, &mut ws, false).unwrap()
-            })
+            .map(|&t| cold_pair.measure_at(t, &opts, &mut ws, false).unwrap())
             .collect();
 
         // Warm pass: each solve seeded from the previous converged point.

@@ -17,7 +17,7 @@ fn bench_table1(c: &mut Criterion) {
             let mut bench = TestStructureBench::paper_bench(7);
             black_box(
                 bench
-                    .measure_pair_at(&sample, Ampere::new(1e-6), Celsius::new(25.0))
+                    .run_pair_campaign(&sample, Ampere::new(1e-6), &[Celsius::new(25.0)])
                     .expect("point"),
             )
         })

@@ -12,6 +12,12 @@ use crate::CampaignError;
 /// the 8-bit attempt field of the fault seed stream.
 pub const MAX_RETRY_BUDGET: u32 = 32;
 
+/// Upper bound on a wafer map's grid positions (`rows * cols`).
+/// [`CampaignSpec::validate`] counts active dies position by position, so
+/// an unbounded grid would hang it; 2^20 is a 1024 x 1024 grid, far above
+/// the diameter-80 wafers the workloads run.
+pub const MAX_GRID_SITES: usize = 1 << 20;
+
 /// One die position on the wafer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DieSite {
@@ -280,10 +286,17 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// [`CampaignError::InvalidSpec`] on an empty map, no corners,
+    /// [`CampaignError::InvalidSpec`] on a grid above [`MAX_GRID_SITES`]
+    /// positions, an empty map, no corners,
     /// non-positive bias, a non-monotone temperature plan, an empty spec
     /// window, an out-of-range fault spec or an oversized retry budget.
     pub fn validate(&self) -> Result<(), CampaignError> {
+        let (rows, cols) = (self.wafer.rows(), self.wafer.cols());
+        if rows.checked_mul(cols).is_none_or(|n| n > MAX_GRID_SITES) {
+            return Err(CampaignError::invalid(format!(
+                "wafer grid {rows} x {cols} exceeds the cap of {MAX_GRID_SITES} positions"
+            )));
+        }
         if self.wafer.die_count() == 0 {
             return Err(CampaignError::invalid("wafer map has no active dies"));
         }
@@ -418,5 +431,25 @@ mod tests {
         assert!(s.validate().is_ok());
         s.retry_budget = MAX_RETRY_BUDGET + 1;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn wafer_grid_is_capped_before_dies_are_counted() {
+        let spec = |wafer| CampaignSpec::paper_default(wafer, 1);
+        assert!(spec(WaferMap::full(1, MAX_GRID_SITES)).validate().is_ok());
+        assert!(spec(WaferMap::circular(1 << 10)).validate().is_ok());
+        for wafer in [
+            WaferMap::full(1, MAX_GRID_SITES + 1),
+            WaferMap::circular((1 << 10) + 1),
+            // A grid whose `rows * cols` overflows, and the diameter that
+            // used to hang `repro campaign`.
+            WaferMap::full(usize::MAX, 2),
+            WaferMap::circular(3_000_000),
+        ] {
+            assert!(matches!(
+                spec(wafer).validate(),
+                Err(CampaignError::InvalidSpec(_))
+            ));
+        }
     }
 }

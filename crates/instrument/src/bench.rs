@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use icvbe_bandgap::pair::CompiledPair;
+use icvbe_bandgap::pair::{polished_dc_options, CompiledPair};
 use icvbe_core::meijer::{MeijerMeasurement, MeijerPoint};
 use icvbe_spice::solver::DcOptions;
 use icvbe_spice::workspace::{SolveStats, SolveWorkspace};
@@ -186,57 +186,9 @@ impl TestStructureBench {
         }
     }
 
-    /// Measures one die at one chamber setpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit and thermal solve failures.
-    pub fn measure_pair_at(
-        &mut self,
-        sample: &DieSample,
-        bias: Ampere,
-        setpoint: Celsius,
-    ) -> Result<PairCampaignPoint, BenchError> {
-        let structure = sample.pair_structure(bias);
-        let chamber = ThermalChamber::new(setpoint.to_kelvin(), self.chamber_offset);
-        let path = self.path.scaled(sample.rth_scale)?;
-        let ambient = chamber.ambient();
-
-        // Electro-thermal fixed point: the structure + the rest of the die
-        // heat the junction; the pair's own dissipation depends on its
-        // (junction) temperature through the solved circuit.
-        let aux = self.auxiliary_power_watts;
-        let die = solve_die_temperature(
-            ambient,
-            &path,
-            |t| {
-                let p_pair = structure
-                    .measure(t)
-                    .map(|r| structure.power_watts(&r))
-                    .unwrap_or(0.0);
-                p_pair + aux
-            },
-            1e-4,
-            60,
-        )?;
-
-        let reading = structure.measure(die.temperature)?;
-        let case = chamber.sensor_reading(&path, die.power_watts);
-        let sensor_temperature = self.sensor.read(case);
-
-        Ok(PairCampaignPoint {
-            setpoint: setpoint.to_kelvin(),
-            sensor_temperature,
-            die_temperature: die.temperature,
-            vbe_a: self.smu.measure_voltage(reading.vbe_a),
-            vbe_b: self.smu.measure_voltage(reading.vbe_b),
-            dvbe: self.smu.measure_voltage(reading.dvbe),
-            ic_a: self.smu.measure_current(reading.ic_a),
-            ic_b: self.smu.measure_current(reading.ic_b),
-        })
-    }
-
-    /// Runs a full setpoint sweep on one die.
+    /// Runs a full setpoint sweep on one die: the compiled, warm-started
+    /// sweep of [`TestStructureBench::run_pair_campaign_with`] with fresh
+    /// scratch and output buffers.
     ///
     /// # Errors
     ///
@@ -247,27 +199,31 @@ impl TestStructureBench {
         bias: Ampere,
         setpoints: &[Celsius],
     ) -> Result<Vec<PairCampaignPoint>, BenchError> {
-        setpoints
-            .iter()
-            .map(|&c| self.measure_pair_at(sample, bias, c))
-            .collect()
+        let mut out = Vec::with_capacity(setpoints.len());
+        self.sweep_compiled(
+            sample,
+            bias,
+            setpoints,
+            &mut BenchScratch::new(),
+            &mut out,
+            true,
+        )?;
+        Ok(out)
     }
 
-    /// Solver options the hot path runs with: campaign defaults plus
-    /// Newton polishing, which makes every solve's result bitwise
-    /// independent of its starting point — the property that lets
-    /// warm-started sweeps reproduce cold-started ones exactly.
+    /// Solver options every pair measurement runs with:
+    /// [`polished_dc_options`], whose Newton polishing makes each solve's
+    /// result bitwise independent of its starting point — the property
+    /// that lets warm-started sweeps reproduce cold-started ones exactly.
     #[must_use]
     pub fn campaign_dc_options_with(_mode: SolveMode) -> DcOptions {
-        let mut options = DcOptions::default();
-        options.newton.polish = true;
-        options
+        polished_dc_options()
     }
 
-    /// [`TestStructureBench::run_pair_campaign`] for the hot path: the
-    /// circuit is compiled once for the whole sweep, the thermal path is
-    /// scaled once, solver storage comes from `scratch`, and results are
-    /// appended to the caller's `out` buffer (cleared first).
+    /// [`TestStructureBench::run_pair_campaign`] on caller-owned buffers:
+    /// the circuit is compiled once for the whole sweep, the thermal path
+    /// is scaled once, solver storage comes from `scratch`, and results
+    /// are appended to the caller's `out` buffer (cleared first).
     ///
     /// Every circuit solve after the first is seeded from the previous
     /// converged solution — across self-heating iterations *and* across
@@ -291,9 +247,10 @@ impl TestStructureBench {
         self.sweep_compiled(sample, bias, setpoints, scratch, out, true)
     }
 
-    /// The compiled sweep behind
-    /// [`TestStructureBench::run_pair_campaign_with`]; `warm_start: false`
-    /// is the cold oracle the tests compare the warm path against.
+    /// The compiled sweep behind [`TestStructureBench::run_pair_campaign`]
+    /// and [`TestStructureBench::run_pair_campaign_with`];
+    /// `warm_start: false` is the cold oracle the tests compare the warm
+    /// path against.
     fn sweep_compiled(
         &mut self,
         sample: &DieSample,
@@ -321,7 +278,7 @@ impl TestStructureBench {
         Ok(())
     }
 
-    /// One setpoint of the compiled hot path; see
+    /// One setpoint of the compiled sweep; see
     /// [`TestStructureBench::run_pair_campaign_with`].
     fn measure_compiled_at(
         &mut self,
@@ -407,8 +364,8 @@ mod tests {
         let mut bench = TestStructureBench::ideal(0);
         let sample = DieSample::nominal(0);
         let p = bench
-            .measure_pair_at(&sample, Ampere::new(1e-6), Celsius::new(25.0))
-            .unwrap();
+            .run_pair_campaign(&sample, Ampere::new(1e-6), &[Celsius::new(25.0)])
+            .unwrap()[0];
         assert!((p.die_temperature.value() - 298.15).abs() < 1e-9);
         assert!((p.sensor_temperature.value() - 298.15).abs() < 1e-9);
         assert!(p.dvbe.value() > 0.04 && p.dvbe.value() < 0.07);
@@ -419,8 +376,8 @@ mod tests {
         let mut bench = TestStructureBench::paper_bench(2002);
         let sample = DieSample::nominal(0);
         let p = bench
-            .measure_pair_at(&sample, Ampere::new(1e-6), Celsius::new(25.0))
-            .unwrap();
+            .run_pair_campaign(&sample, Ampere::new(1e-6), &[Celsius::new(25.0)])
+            .unwrap()[0];
         assert!(
             p.die_temperature.value() > p.sensor_temperature.value(),
             "die {} vs sensor {}",
@@ -494,39 +451,6 @@ mod tests {
             warm_stats.newton_iterations,
             cold_stats.newton_iterations
         );
-    }
-
-    #[test]
-    fn compiled_campaign_matches_per_setpoint_structure() {
-        // The compiled path must agree with the allocating path up to the
-        // polish-induced last-ulp difference; check physical closeness. The
-        // SMU quantizes voltages on a ~1e-6 V grid, so a last-ulp shift in
-        // the raw solve can flip one quantization boundary — the dvbe
-        // tolerance must sit above one quantum, not at solver precision.
-        let setpoints: Vec<Celsius> = [-25.0, 25.0, 75.0].map(Celsius::new).to_vec();
-        let sample = DieSample::nominal(0);
-        let mut old_bench = TestStructureBench::paper_bench(5);
-        let old = old_bench
-            .run_pair_campaign(&sample, Ampere::new(1e-6), &setpoints)
-            .unwrap();
-        let mut new_bench = TestStructureBench::paper_bench(5);
-        let mut scratch = BenchScratch::new();
-        let mut new_points = Vec::new();
-        new_bench
-            .run_pair_campaign_with(
-                &sample,
-                Ampere::new(1e-6),
-                &setpoints,
-                &mut scratch,
-                &mut new_points,
-                SolveMode,
-            )
-            .unwrap();
-        assert_eq!(old.len(), new_points.len());
-        for (a, b) in old.iter().zip(&new_points) {
-            assert!((a.die_temperature.value() - b.die_temperature.value()).abs() < 1e-6);
-            assert!((a.dvbe.value() - b.dvbe.value()).abs() < 2e-6);
-        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::Path;
 
+use crate::kv::{tokenize, Tokens};
 use crate::noise::NoiseSource;
 
 /// Knobs of the deterministic environment-fault injector. All-zero (the
@@ -148,49 +149,49 @@ impl ChaosSpec {
     ///
     /// # Errors
     ///
-    /// [`ChaosSpecError`] on an unknown key, an unparsable value, or an
-    /// out-of-range knob.
+    /// [`ChaosSpecError`] on an unknown or repeated key, an unparsable
+    /// value, or an out-of-range knob.
     pub fn parse(text: &str) -> Result<Self, ChaosSpecError> {
-        let trimmed = text.trim();
-        match trimmed {
-            "none" => return Ok(ChaosSpec::none()),
-            "light" => return Ok(ChaosSpec::light()),
-            "heavy" => return Ok(ChaosSpec::heavy()),
-            "" => return Err(spec_err("empty spec (try 'light', 'heavy' or key=value)")),
-            _ => {}
-        }
-        let keys = "write_error, short_write, torn, stall, stall_ms, reset, die_panic";
+        let presets = [
+            ("none", ChaosSpec::none()),
+            ("light", ChaosSpec::light()),
+            ("heavy", ChaosSpec::heavy()),
+        ];
+        let keys = [
+            "write_error",
+            "short_write",
+            "torn",
+            "stall",
+            "stall_ms",
+            "reset",
+            "die_panic",
+        ];
+        let pairs = match tokenize(text, &presets, &keys).map_err(spec_err)? {
+            Tokens::Preset(spec) => return Ok(spec),
+            Tokens::Pairs(pairs) => pairs,
+        };
         let mut spec = ChaosSpec::none();
-        for pair in trimmed.split(',') {
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(spec_err(format!(
-                    "expected key=value, got '{pair}' (keys: {keys})"
-                )));
-            };
-            let value = value.trim();
-            match key.trim() {
-                "stall_ms" => {
-                    spec.stall_millis = value
-                        .parse()
-                        .map_err(|_| spec_err(format!("'{value}' is not an integer")))?;
-                }
-                other => {
-                    let p: f64 = value
-                        .parse()
-                        .map_err(|_| spec_err(format!("'{value}' is not a number")))?;
-                    match other {
-                        "write_error" => spec.write_error_probability = p,
-                        "short_write" => spec.short_write_probability = p,
-                        "torn" => spec.torn_file_probability = p,
-                        "stall" => spec.stall_probability = p,
-                        "reset" => spec.reset_probability = p,
-                        "die_panic" => spec.die_panic_probability = p,
-                        unknown => {
-                            return Err(spec_err(format!("unknown key '{unknown}' (keys: {keys})")))
-                        }
-                    }
-                }
+        for (key, value) in pairs {
+            if key == "stall_ms" {
+                spec.stall_millis = value
+                    .parse()
+                    .map_err(|_| spec_err(format!("'{value}' is not an integer")))?;
+                continue;
             }
+            let p: f64 = value
+                .parse()
+                .map_err(|_| spec_err(format!("'{value}' is not a number")))?;
+            let knob = match key {
+                "write_error" => &mut spec.write_error_probability,
+                "short_write" => &mut spec.short_write_probability,
+                "torn" => &mut spec.torn_file_probability,
+                "stall" => &mut spec.stall_probability,
+                "reset" => &mut spec.reset_probability,
+                // `tokenize` admits only the listed keys: this is
+                // "die_panic".
+                _ => &mut spec.die_panic_probability,
+            };
+            *knob = p;
         }
         spec.validate()?;
         Ok(spec)

@@ -35,6 +35,7 @@ use std::fmt;
 use icvbe_units::{Ampere, Kelvin, Volt};
 
 use crate::bench::PairCampaignPoint;
+use crate::kv::{tokenize, Tokens};
 use crate::noise::NoiseSource;
 
 /// Knobs of the deterministic fault injector. All-zero (the default)
@@ -161,41 +162,34 @@ impl FaultSpec {
     ///
     /// # Errors
     ///
-    /// [`FaultSpecError`] on an unknown key, an unparsable value, or an
-    /// out-of-range knob.
+    /// [`FaultSpecError`] on an unknown or repeated key, an unparsable
+    /// value, or an out-of-range knob.
     pub fn parse(text: &str) -> Result<Self, FaultSpecError> {
-        let trimmed = text.trim();
-        match trimmed {
-            "none" => return Ok(FaultSpec::none()),
-            "light" => return Ok(FaultSpec::light()),
-            "heavy" => return Ok(FaultSpec::heavy()),
-            "" => return Err(spec_err("empty spec (try 'light', 'heavy' or key=value)")),
-            _ => {}
-        }
+        let presets = [
+            ("none", FaultSpec::none()),
+            ("light", FaultSpec::light()),
+            ("heavy", FaultSpec::heavy()),
+        ];
+        let keys = ["noise", "noise_sigma", "stuck", "drop", "drift", "nan"];
+        let pairs = match tokenize(text, &presets, &keys).map_err(spec_err)? {
+            Tokens::Preset(spec) => return Ok(spec),
+            Tokens::Pairs(pairs) => pairs,
+        };
         let mut spec = FaultSpec::none();
-        for pair in trimmed.split(',') {
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(spec_err(format!(
-                    "expected key=value, got '{pair}' (keys: noise, noise_sigma, stuck, drop, drift, nan)"
-                )));
-            };
+        for (key, value) in pairs {
             let value: f64 = value
-                .trim()
                 .parse()
-                .map_err(|_| spec_err(format!("'{}' is not a number", value.trim())))?;
-            match key.trim() {
-                "noise" => spec.noise_probability = value,
-                "noise_sigma" => spec.noise_sigma_volts = value,
-                "stuck" => spec.stuck_probability = value,
-                "drop" => spec.drop_probability = value,
-                "drift" => spec.drift_sigma_volts = value,
-                "nan" => spec.nan_probability = value,
-                other => {
-                    return Err(spec_err(format!(
-                        "unknown key '{other}' (keys: noise, noise_sigma, stuck, drop, drift, nan)"
-                    )))
-                }
-            }
+                .map_err(|_| spec_err(format!("'{value}' is not a number")))?;
+            let knob = match key {
+                "noise" => &mut spec.noise_probability,
+                "noise_sigma" => &mut spec.noise_sigma_volts,
+                "stuck" => &mut spec.stuck_probability,
+                "drop" => &mut spec.drop_probability,
+                "drift" => &mut spec.drift_sigma_volts,
+                // `tokenize` admits only the listed keys: this is "nan".
+                _ => &mut spec.nan_probability,
+            };
+            *knob = value;
         }
         spec.validate()?;
         Ok(spec)

@@ -29,6 +29,7 @@
 pub mod bench;
 pub mod chaos;
 pub mod faults;
+mod kv;
 pub mod montecarlo;
 pub mod noise;
 pub mod pt100;

@@ -55,7 +55,7 @@ use std::path::PathBuf;
 use icvbe_campaign::aggregate::YieldBin;
 use icvbe_campaign::die::DieBudget;
 use icvbe_campaign::report::write_reports;
-use icvbe_campaign::spec::WaferMap;
+use icvbe_campaign::spec::{WaferMap, MAX_GRID_SITES};
 use icvbe_campaign::taxonomy::FailureKind;
 use icvbe_campaign::{run_campaign_with, CampaignRun, CampaignSpec, StreamOptions};
 use icvbe_instrument::chaos::ChaosSpec;
@@ -223,10 +223,15 @@ impl Default for CampaignCliArgs {
 }
 
 /// Smallest circular-wafer diameter holding at least `dies` dies.
+///
+/// The search starts at `isqrt(dies)`: a `d x d` grid holds at most `d²`
+/// dies, so no smaller diameter can do. It stops past
+/// [`MAX_GRID_SITES`], whose wafers validation rejects anyway, so an
+/// oversized `--dies` fails fast instead of counting grids forever.
 #[must_use]
 pub fn diameter_for_dies(dies: usize) -> usize {
-    let mut d = 1;
-    while WaferMap::circular(d).die_count() < dies {
+    let mut d = dies.isqrt().max(1);
+    while d.saturating_mul(d) <= MAX_GRID_SITES && WaferMap::circular(d).die_count() < dies {
         d += 1;
     }
     d
@@ -639,6 +644,15 @@ mod tests {
         let map = WaferMap::circular(a.spec.diameter);
         assert!(map.die_count() >= 1000, "{} dies", map.die_count());
         assert!(WaferMap::circular(a.spec.diameter - 1).die_count() < 1000);
+    }
+
+    #[test]
+    fn oversized_dies_flag_fails_validation_fast() {
+        for dies in [MAX_GRID_SITES, usize::MAX] {
+            let a = parse_args(&sv(&["--dies", &dies.to_string()])).unwrap();
+            let spec = CampaignSpec::paper_default(WaferMap::circular(a.spec.diameter), 1);
+            assert!(spec.validate().is_err(), "{dies} dies");
+        }
     }
 
     #[test]

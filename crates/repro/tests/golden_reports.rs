@@ -1,40 +1,35 @@
-//! Golden-report snapshots: `render()` output of deterministic artifacts
-//! is pinned byte-for-byte against fixtures in `tests/fixtures/`.
+//! Golden-report snapshots: every report `repro --save reports` writes is
+//! pinned byte-for-byte against its committed copy in `reports/`.
 //!
-//! These reports feed the README and the paper-comparison workflow, so a
-//! formatting or numeric drift must be a conscious decision: regenerate
-//! the fixtures (write `render()` output to the fixture paths) and review
-//! the diff when the change is intended.
+//! These reports feed the README, EXPERIMENTS.md and the paper-comparison
+//! workflow, so a formatting or numeric drift must be a conscious
+//! decision: regenerate with `cargo run --release --bin repro -- --save
+//! reports` and review the diff when the change is intended.
 
-use icvbe_repro::{fig1, table1};
+use std::path::Path;
 
-#[test]
-fn fig1_render_matches_golden_fixture() {
-    let rendered = fig1::render(&fig1::run());
-    let golden = include_str!("fixtures/fig1.txt");
-    assert_eq!(
-        rendered, golden,
-        "fig1 report drifted from tests/fixtures/fig1.txt — regenerate \
-         the fixture if the change is intentional"
-    );
-}
+use icvbe_repro::report::collect_all_reports;
 
 #[test]
-fn table1_render_matches_golden_fixture() {
-    let report = table1::run().expect("table1 run");
-    let rendered = table1::render(&report);
-    let golden = include_str!("fixtures/table1.txt");
-    assert_eq!(
-        rendered, golden,
-        "table1 report drifted from tests/fixtures/table1.txt — regenerate \
-         the fixture if the change is intentional"
-    );
+fn every_report_matches_its_committed_copy() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");
+    let reports = collect_all_reports();
+    assert_eq!(reports.len(), 8, "one report per artifact");
+    for report in reports {
+        let path = dir.join(format!("{}.txt", report.id));
+        let golden =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            report.body, golden,
+            "{} drifted from reports/{}.txt — regenerate the reports if the \
+             change is intentional",
+            report.id, report.id
+        );
+    }
 }
 
 #[test]
 fn golden_reports_are_stable_across_runs() {
-    assert_eq!(fig1::render(&fig1::run()), fig1::render(&fig1::run()));
-    let a = table1::render(&table1::run().expect("run a"));
-    let b = table1::render(&table1::run().expect("run b"));
-    assert_eq!(a, b);
+    let bodies = || -> Vec<String> { collect_all_reports().into_iter().map(|r| r.body).collect() };
+    assert_eq!(bodies(), bodies());
 }

@@ -10,7 +10,9 @@
 //!    the same canonical bytes;
 //! 2. every truncation prefix of those lines, plus seeded byte flips,
 //!    splices of two lines and duplicated keys, decodes to a request or a
-//!    typed `bad_request` error, never a panic.
+//!    typed `bad_request` error, never a panic. A submit of a wafer far
+//!    above the grid cap joins the inputs: it and its mutants must come
+//!    back promptly instead of counting trillions of grid positions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -225,6 +227,13 @@ fn decode_without_panic(bytes: &[u8], what: &str) -> Option<Request> {
     }
 }
 
+/// A submit line whose wafer (3e6 dies across, 9e12 grid positions) is far
+/// above the `MAX_GRID_SITES` cap.
+fn huge_wafer_submit() -> String {
+    let spec = CampaignSpec::paper_default(WaferMap::circular(3_000_000), 0);
+    format!("{{\"cmd\":\"submit\",\"spec\":{}}}", spec_to_json(&spec))
+}
+
 fn generated_lines(rng: &mut Xoshiro256PlusPlus) -> Vec<(String, Request)> {
     (0..6)
         .flat_map(|verb| (0..LINES_PER_VERB).map(move |_| verb))
@@ -249,7 +258,9 @@ fn mutated_requests_decode_or_fail_typed_never_panic() {
     let mut rng = Xoshiro256PlusPlus::seeded(0x5EED_0002);
     let lines: Vec<Vec<u8>> = generated_lines(&mut rng)
         .into_iter()
-        .map(|(line, _)| line.into_bytes())
+        .map(|(line, _)| line)
+        .chain([huge_wafer_submit()])
+        .map(String::into_bytes)
         .collect();
     let verbs = ["hello", "submit", "status", "results", "cancel", "shutdown"];
     let mut decoded = 0usize;

@@ -95,7 +95,7 @@ ckdir="$smoke_dir/ck"
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve.log")"
+  addr="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve.log" 2>/dev/null || true)"
   [ -n "$addr" ] && break
   sleep 0.1
 done
@@ -140,7 +140,7 @@ wait "$submit_pid" 2>/dev/null || true
 serve2_pid=$!
 addr2=""
 for _ in $(seq 1 100); do
-  addr2="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve2.log")"
+  addr2="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve2.log" 2>/dev/null || true)"
   [ -n "$addr2" ] && break
   sleep 0.1
 done
@@ -185,7 +185,7 @@ ck3="$smoke_dir/ck3"
 serve3_pid=$!
 addr3=""
 for _ in $(seq 1 100); do
-  addr3="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve3.log")"
+  addr3="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve3.log" 2>/dev/null || true)"
   [ -n "$addr3" ] && break
   sleep 0.1
 done
@@ -193,24 +193,39 @@ done
 ./target/release/repro submit --addr "$addr3" --label lot3 --diameter 40 --seed 22 \
   > /dev/null 2>&1 &
 submit3_pid=$!
-# Wait for mid-campaign progress AND a populated rotated slot, so tearing
-# the primary leaves a last-good generation to fall back to.
-progress=0
-for _ in $(seq 1 400); do
-  ck="$(ls "$ck3"/job-*.json 2>/dev/null | grep -v prev | head -1 || true)"
+# Wait for mid-campaign progress AND a complete rotated slot, so tearing
+# the primary leaves a last-good generation to fall back to. Each poll
+# freezes the daemon (SIGSTOP) before reading the directory, so the files
+# cannot change, and the lot cannot finish, between the check and the
+# kill -9: the kill lands on exactly the state the check saw. A complete
+# checkpoint ends in "}\n"; a torn one is a strict prefix of that.
+complete() { [ "$(tail -c 2 "$1" 2>/dev/null | od -An -tx1 | tr -d ' \n')" = "7d0a" ]; }
+killed=0
+for _ in $(seq 1 2000); do
+  kill -0 "$submit3_pid" 2>/dev/null || { kill -9 "$serve3_pid"
+    echo "FAIL: lot3 finished before a mid-campaign checkpoint was caught"; exit 1; }
+  kill -STOP "$serve3_pid"
   prev="$(ls "$ck3"/job-*.prev.json 2>/dev/null | head -1 || true)"
-  if [ -n "$ck" ] && [ -n "$prev" ]; then
-    progress="$(tr -d '\\' 2>/dev/null < "$ck" | grep -o '"next_die":[0-9]*' \
-      | head -1 | cut -d: -f2 || true)"
-    [ "${progress:-0}" -ge 20 ] && break
+  if [ -n "$prev" ] && complete "$prev"; then
+    progress="$(cat "$ck3"/job-*.json 2>/dev/null | tr -d '\\' \
+      | grep -o '"next_die":[0-9]*' | cut -d: -f2 | sort -n | tail -1 || true)"
+    if [ "${progress:-0}" -ge 20 ]; then
+      kill -9 "$serve3_pid"
+      killed=1
+      break
+    fi
   fi
-  sleep 0.05
+  kill -CONT "$serve3_pid"
+  sleep 0.01
 done
-[ "${progress:-0}" -ge 20 ] || \
-  { echo "FAIL: no mid-campaign checkpoint + rotated slot observed"; exit 1; }
-kill -9 "$serve3_pid"
+[ "$killed" = 1 ] || \
+  { kill -9 "$serve3_pid"; echo "FAIL: no mid-campaign checkpoint + rotated slot observed"; exit 1; }
 wait "$serve3_pid" 2>/dev/null || true
 wait "$submit3_pid" 2>/dev/null || true
+# The frozen state had the lot mid-campaign: a finished lot removes both
+# slots, so the .prev slot must still be there.
+[ -n "$(ls "$ck3"/job-*.prev.json 2>/dev/null)" ] || \
+  { echo "FAIL: lot3 finished before the kill"; exit 1; }
 # Tear the tail off the newest checkpoint — a crash mid-write. The restart
 # (chaos off) must recover through the .prev slot, byte-identically.
 # kill -9 can land between the rotate and the fresh primary write; a
@@ -224,7 +239,7 @@ ck="$(ls "$ck3"/job-*.json 2>/dev/null | grep -v prev | head -1 || true)"
 serve4_pid=$!
 addr4=""
 for _ in $(seq 1 100); do
-  addr4="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve4.log")"
+  addr4="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve4.log" 2>/dev/null || true)"
   [ -n "$addr4" ] && break
   sleep 0.1
 done
@@ -235,6 +250,8 @@ for f in $frozen; do
   cmp "$smoke_dir/golden_big/$f" "$smoke_dir/resumed3/$f" || \
     { echo "FAIL: $f differs after torn-checkpoint resume"; exit 1; }
 done
+grep -q 'resumed from previous generation' "$smoke_dir/serve4.err" || \
+  { echo "FAIL: torn-checkpoint resume did not come from the .prev slot"; exit 1; }
 kill "$serve4_pid" 2>/dev/null || true
 wait "$serve4_pid" 2>/dev/null || true
 
