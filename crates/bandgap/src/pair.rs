@@ -119,6 +119,7 @@ impl PairStructure {
         let qa = Bjt::new("QA", gnd, gnd, va, Polarity::Pnp, self.card)?;
         let qb =
             Bjt::new("QB", gnd, gnd, vb, Polarity::Pnp, self.card)?.with_area(self.area_ratio)?;
+        let seed = vec![0.0; assembly.dimension()];
         Ok(CompiledPair {
             structure: self.clone(),
             circuit,
@@ -127,13 +128,13 @@ impl PairStructure {
             vb,
             qa,
             qb,
-            warm: Vec::new(),
+            seed,
         })
     }
 
     /// Solves the structure at one temperature and reads out the pair.
     ///
-    /// A one-shot cold [`CompiledPair::measure_at`] with
+    /// A one-shot [`CompiledPair::measure_at`] with
     /// [`polished_dc_options`]: the same solve every campaign measurement
     /// runs.
     ///
@@ -186,9 +187,8 @@ impl PairStructure {
 ///
 /// The defaults stop Newton once the KCL residual is below 1e-9 A, which is
 /// 10 % of a 10 nA bias. Polishing runs Newton on to the floating-point
-/// fixed point, so the reading no longer depends on where the solve started
-/// (see [`icvbe_numerics::newton::NewtonOptions::polish`]) and low-current
-/// readings are accurate to the solver's precision.
+/// fixed point (see [`icvbe_numerics::newton::NewtonOptions::polish`]), so
+/// low-current readings are accurate to the solver's precision.
 #[must_use]
 pub fn polished_dc_options() -> DcOptions {
     let mut options = DcOptions::default();
@@ -215,14 +215,13 @@ pub struct PairReading {
 
 /// A [`PairStructure`] bound to its built netlist, validated assembly and
 /// cached readout devices: the one path every pair measurement solves
-/// through. [`PairStructure::measure`] is its one-shot cold use.
+/// through. [`PairStructure::measure`] is its one-shot use.
 ///
 /// The electro-thermal fixed point re-solves the same circuit dozens of
-/// times per setpoint; a compiled pair builds and validates it once, and
-/// optionally carries the last converged solution forward as a Newton warm
-/// start. With polishing enabled in the solver options (see
-/// [`icvbe_numerics::newton::NewtonOptions::polish`]) the returned reading
-/// is bitwise independent of whether the warm start was used.
+/// times per setpoint; a compiled pair builds and validates it once. Every
+/// solve starts Newton at the closed-form diode point of its own
+/// temperature, so a reading depends only on the structure and the
+/// temperature, never on which solves came before it.
 #[derive(Debug)]
 pub struct CompiledPair {
     structure: PairStructure,
@@ -232,7 +231,8 @@ pub struct CompiledPair {
     vb: NodeId,
     qa: Bjt,
     qb: Bjt,
-    warm: Vec<f64>,
+    /// Newton start buffer: zeros except the two emitter nodes.
+    seed: Vec<f64>,
 }
 
 impl CompiledPair {
@@ -245,10 +245,13 @@ impl CompiledPair {
     /// Solves the compiled structure at one temperature and reads out the
     /// pair, drawing all solver storage from `ws`.
     ///
-    /// With `warm_start`, Newton is seeded from the last converged
-    /// solution of this pair (if any); without it the solve starts cold.
-    /// The converged vector is carried forward either way so a later
-    /// warm-started call can use it.
+    /// Newton starts at the closed-form point of eq. 1's ideal-diode law:
+    /// each emitter node at [`Bjt::vbe_for_ic`] of its own device and bias
+    /// current at `temperature` (QB's bias scaled by
+    /// [`PairStructure::bias_mismatch`]). The start is a function of the
+    /// solve's inputs only, so the reading is the same whatever this pair
+    /// measured before. The `bool` is ignored: it stays only because
+    /// callers outside the workspace pass it.
     ///
     /// # Errors
     ///
@@ -258,26 +261,26 @@ impl CompiledPair {
         temperature: Kelvin,
         options: &DcOptions,
         ws: &mut SolveWorkspace,
-        warm_start: bool,
+        _ignored: bool,
     ) -> Result<PairReading, SpiceError> {
-        let initial = if warm_start && !self.warm.is_empty() {
-            Some(self.warm.as_slice())
-        } else {
-            None
-        };
+        let bias = self.structure.bias;
+        let bias_b = Ampere::new(bias.value() * self.structure.bias_mismatch);
+        let vbe_a = self.qa.vbe_for_ic(bias, temperature);
+        let vbe_b = self.qb.vbe_for_ic(bias_b, temperature);
+        for (node, vbe) in [(self.va, vbe_a), (self.vb, vbe_b)] {
+            if let Some(i) = node.unknown_index() {
+                self.seed[i] = vbe.value();
+            }
+        }
         solve_dc_with(
             &self.circuit,
             &self.assembly,
             temperature,
             options,
-            initial,
+            Some(&self.seed),
             ws,
         )?;
         let x = ws.solution();
-        if self.warm.len() != x.len() {
-            self.warm.resize(x.len(), 0.0);
-        }
-        self.warm.copy_from_slice(x);
         let vbe_a = voltage_of(x, self.va);
         let vbe_b = voltage_of(x, self.vb);
         Ok(self
@@ -405,31 +408,30 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_with_polish_is_bit_identical_to_cold() {
-        let pair = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6));
+    fn readings_do_not_depend_on_the_order_of_solves() {
+        // One compiled pair and one workspace measure the same nine
+        // temperatures forward, in reverse and shuffled: each reading
+        // depends only on its own temperature, to the bit.
         let opts = polished_dc_options();
-
-        // Cold pass: every solve from zeros.
-        let mut cold_pair = pair.compile().unwrap();
+        let leaky = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6))
+            .with_substrate(SubstrateJunction::bicmos_default());
+        let mut pair = leaky.compile().unwrap();
         let mut ws = SolveWorkspace::new();
         let temps: Vec<Kelvin> = (0..9)
-            .map(|i| Kelvin::new(248.15 + 12.5 * i as f64))
+            .map(|i| Kelvin::new(248.15 + 12.5 * f64::from(i)))
             .collect();
-        let cold: Vec<PairReading> = temps
-            .iter()
-            .map(|&t| cold_pair.measure_at(t, &opts, &mut ws, false).unwrap())
-            .collect();
-
-        // Warm pass: each solve seeded from the previous converged point.
-        let mut warm_pair = pair.compile().unwrap();
-        let warm: Vec<PairReading> = temps
-            .iter()
-            .map(|&t| warm_pair.measure_at(t, &opts, &mut ws, true).unwrap())
-            .collect();
-
-        assert_eq!(cold, warm, "polish must erase the seed dependence");
-        // And the warm pass must actually have warm-started.
-        assert!(ws.stats.warm_starts >= (temps.len() - 1) as u64);
+        let mut read = |order: &[usize]| {
+            let mut out = vec![None; temps.len()];
+            for &i in order {
+                out[i] = Some(pair.measure_at(temps[i], &opts, &mut ws, true).unwrap());
+            }
+            out
+        };
+        let forward = read(&[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(forward, read(&[8, 7, 6, 5, 4, 3, 2, 1, 0]));
+        assert_eq!(forward, read(&[4, 0, 7, 2, 8, 1, 5, 3, 6]));
+        // Every solve converged on the seeded rung.
+        assert_eq!(ws.stats.ladder_success, [27, 0, 0, 0]);
     }
 
     #[test]

@@ -484,12 +484,38 @@ pub fn checkpoint_from_json(text: &str) -> Result<Checkpoint, CampaignError> {
     })
 }
 
+/// Recomputes the content checksum of a (possibly mutated) checkpoint or
+/// partial document, so a mutation reaches the decoder instead of the
+/// checksum gate. Documents whose checksum field is itself damaged come
+/// back as-is.
+#[cfg(test)]
+pub(crate) fn rechecksum(text: &str) -> String {
+    const FIELD: &str = "\"checksum\":\"";
+    let Some(start) = text.find(FIELD) else {
+        return text.to_string();
+    };
+    let digits = start + FIELD.len();
+    let Some(tail) = text.get(digits + 16..digits + 18) else {
+        return text.to_string();
+    };
+    if tail != "\"," {
+        return text.to_string();
+    }
+    let mut h = fnv1a64(&text.as_bytes()[..start]);
+    for &b in &text.as_bytes()[digits + 18..] {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{}{h:016x}{}", &text[..digits], &text[digits + 16..])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, WaferMap};
     use crate::wire::spec_fingerprint;
     use crate::worker::run_campaign;
+    use icvbe_numerics::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn checksum_field_split_inside_a_character_is_an_error() {
@@ -624,5 +650,99 @@ mod tests {
         let text = welford_json(&w);
         let v = parse(&text).unwrap();
         assert_eq!(welford_from(&v).unwrap(), w);
+    }
+
+    /// Decodes `text`; fails the test with `what` if the decoder panics.
+    /// Returns the decoded checkpoint, if any.
+    fn decode_without_panic(text: &str, what: &str) -> Option<Checkpoint> {
+        match std::panic::catch_unwind(|| checkpoint_from_json(text)) {
+            Ok(result) => result.ok(),
+            Err(_) => panic!("decoder panicked on {what}: {text}"),
+        }
+    }
+
+    /// Two checkpoints to mutate: an empty aggregate and a populated one
+    /// with a quarantine record.
+    fn sweep_documents() -> Vec<String> {
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(2);
+        let fp = spec_fingerprint(&spec);
+        let mut populated = run_campaign(&spec, 1).unwrap().aggregate;
+        populated.quarantine.push(QuarantineRecord {
+            die: 3,
+            row: 1,
+            col: 1,
+            corner: 0,
+            kind: FailureKind::ALL[1],
+            attempts: 2,
+        });
+        vec![
+            checkpoint_to_json(fp, 0, 1, &CampaignAggregate::new(&spec)),
+            checkpoint_to_json(fp, 4, 7, &populated),
+        ]
+    }
+
+    #[test]
+    fn decoder_answers_every_mutation_without_panicking() {
+        let docs = sweep_documents();
+        let mut rng = Xoshiro256PlusPlus::seeded(0x5eed_c4ec_4901);
+        let (mut decoded, mut rejected) = (0usize, 0usize);
+        let mut tally = |r: Option<Checkpoint>| match r {
+            Some(_) => decoded += 1,
+            None => rejected += 1,
+        };
+        for (d, text) in docs.iter().enumerate() {
+            assert_eq!(rechecksum(text), *text);
+            let original = decode_without_panic(text, "original").unwrap();
+            // Truncation at every byte, checksum recomputed.
+            for end in 0..text.len() {
+                tally(decode_without_panic(
+                    &rechecksum(&text[..end]),
+                    &format!("prefix {end}"),
+                ));
+            }
+            for _ in 0..256 {
+                // A byte flip, checksum recomputed.
+                let mut bytes = text.clone().into_bytes();
+                let at = rng.below(bytes.len() as u64) as usize;
+                let mask = (rng.below(255) + 1) as u8;
+                bytes[at] ^= mask;
+                let flipped = String::from_utf8_lossy(&bytes).into_owned();
+                tally(decode_without_panic(
+                    &rechecksum(&flipped),
+                    &format!("flip {mask:#04x} at {at}"),
+                ));
+                // A splice: a prefix of this document, a suffix of either.
+                let other = &docs[rng.below(docs.len() as u64) as usize];
+                let cut = rng.below(text.len() as u64 + 1) as usize;
+                let from = rng.below(other.len() as u64 + 1) as usize;
+                let spliced = String::from_utf8_lossy(
+                    &[&text.as_bytes()[..cut], &other.as_bytes()[from..]].concat(),
+                )
+                .into_owned();
+                tally(decode_without_panic(
+                    &rechecksum(&spliced),
+                    &format!("splice {cut}/{from}"),
+                ));
+            }
+            // Duplicate keys: a forged `next_die` up front, and the whole
+            // member list repeated inside one object. The first
+            // occurrence of a key wins.
+            let forged = rechecksum(&format!("{{\"next_die\":99,{}", &text[1..]));
+            let got = decode_without_panic(&forged, "duplicate next_die").unwrap();
+            assert_eq!(got.next_die, 99, "document {d}");
+            let inner = &text[1..text.len() - 1];
+            let twice = rechecksum(&format!("{{{inner},{inner}}}"));
+            assert_eq!(
+                decode_without_panic(&twice, "duplicate members"),
+                Some(original),
+                "document {d}"
+            );
+        }
+        // Both outcomes occur, so the sweep reaches past the first byte.
+        assert!(
+            decoded > 0 && rejected > 0,
+            "{decoded} decoded, {rejected} rejected"
+        );
     }
 }

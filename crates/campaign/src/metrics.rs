@@ -168,10 +168,6 @@ pub struct CampaignCounters {
     pub newton_total: AtomicU64,
     /// Electro-thermal fixed-point iterations, summed over all setpoints.
     pub selfheat_total: AtomicU64,
-    /// Solves seeded from a previous converged solution.
-    pub warm_hits: AtomicU64,
-    /// Solves started from the flat initial guess.
-    pub warm_misses: AtomicU64,
     /// Full nonlinear device evaluations performed.
     pub device_evals: AtomicU64,
     /// Device evaluations skipped by an exact-bit cache hit.
@@ -179,8 +175,8 @@ pub struct CampaignCounters {
     /// Newton polishes that ran out of iterations before reaching a
     /// fixed point or two-cycle.
     pub polish_cap_hits: AtomicU64,
-    /// Last-ulp cluster walks that stopped at their member cap.
-    pub cluster_cap_hits: AtomicU64,
+    /// Full-step polish iterations, summed over all solves.
+    pub polish_iterations: AtomicU64,
     /// Per-die Newton iteration totals (histogram of counts, not ns).
     pub newton_per_die: LogHistogram,
     /// Per-die self-heating iteration totals (histogram of counts).
@@ -216,7 +212,7 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 20] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 18] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
@@ -224,12 +220,10 @@ impl CampaignCounters {
             ("solves", &self.solves),
             ("newton_total", &self.newton_total),
             ("selfheat_total", &self.selfheat_total),
-            ("warm_hits", &self.warm_hits),
-            ("warm_misses", &self.warm_misses),
             ("device_evals", &self.device_evals),
             ("device_reuses", &self.device_reuses),
             ("polish_cap_hits", &self.polish_cap_hits),
-            ("cluster_cap_hits", &self.cluster_cap_hits),
+            ("polish_iterations", &self.polish_iterations),
             ("corners_retried", &self.corners_retried),
             ("corners_recovered", &self.corners_recovered),
             ("robust_recoveries", &self.robust_recoveries),
@@ -269,18 +263,14 @@ impl CampaignCounters {
             .fetch_add(stats.newton_iterations, Ordering::Relaxed);
         self.selfheat_total
             .fetch_add(selfheat_iterations, Ordering::Relaxed);
-        self.warm_hits
-            .fetch_add(stats.warm_starts, Ordering::Relaxed);
-        self.warm_misses
-            .fetch_add(stats.cold_starts, Ordering::Relaxed);
         self.device_evals
             .fetch_add(stats.device_evals, Ordering::Relaxed);
         self.device_reuses
             .fetch_add(stats.device_reuses, Ordering::Relaxed);
         self.polish_cap_hits
             .fetch_add(stats.polish_cap_hits, Ordering::Relaxed);
-        self.cluster_cap_hits
-            .fetch_add(stats.cluster_cap_hits, Ordering::Relaxed);
+        self.polish_iterations
+            .fetch_add(stats.polish_iterations, Ordering::Relaxed);
         self.newton_per_die.record_ns(stats.newton_iterations);
         self.selfheat_per_die.record_ns(selfheat_iterations);
     }
@@ -341,8 +331,8 @@ pub struct ContainmentMetrics {
     pub checkpoint_generation_fallbacks: u64,
 }
 
-/// Solver-level observability: how much numerical work the campaign did
-/// and how often warm starts paid off. Like all metrics, never part of the
+/// Solver-level observability: how much numerical work the campaign did,
+/// including the polish tail. Like all metrics, never part of the
 /// deterministic aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverMetrics {
@@ -352,10 +342,6 @@ pub struct SolverMetrics {
     pub newton_iterations: u64,
     /// Total electro-thermal fixed-point iterations.
     pub selfheat_iterations: u64,
-    /// Solves seeded from a previous converged solution.
-    pub warm_start_hits: u64,
-    /// Solves started from the flat initial guess.
-    pub warm_start_misses: u64,
     /// Full nonlinear device evaluations performed.
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
@@ -363,8 +349,8 @@ pub struct SolverMetrics {
     /// Newton polishes that ran out of iterations before reaching a
     /// fixed point or two-cycle.
     pub polish_cap_hits: u64,
-    /// Last-ulp cluster walks that stopped at their member cap.
-    pub cluster_cap_hits: u64,
+    /// Full-step polish iterations, summed over all solves.
+    pub polish_iterations: u64,
     /// Median per-die Newton iteration count (log₂-bucket upper bound).
     pub newton_per_die_p50: u64,
     /// 99th-percentile per-die Newton iteration count (bucket upper bound).
@@ -379,17 +365,6 @@ impl SolverMetrics {
             0.0
         } else {
             self.newton_iterations as f64 / self.solves as f64
-        }
-    }
-
-    /// Fraction of solves that were warm-started (0 when none ran).
-    #[must_use]
-    pub fn warm_hit_rate(&self) -> f64 {
-        let total = self.warm_start_hits + self.warm_start_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.warm_start_hits as f64 / total as f64
         }
     }
 
@@ -426,7 +401,7 @@ pub struct CampaignMetrics {
     pub max_reorder_buffer: usize,
     /// Per-stage timing summaries.
     pub stages: Vec<StageSnapshot>,
-    /// Solver iteration counts and warm-start accounting.
+    /// Solver iteration counts and polish accounting.
     pub solver: SolverMetrics,
     /// Retry / robust-recovery / quarantine accounting.
     pub recovery: RecoveryMetrics,
@@ -468,12 +443,10 @@ impl CampaignCounters {
                     solves: self.solves.load(Ordering::Relaxed),
                     newton_iterations: self.newton_total.load(Ordering::Relaxed),
                     selfheat_iterations: self.selfheat_total.load(Ordering::Relaxed),
-                    warm_start_hits: self.warm_hits.load(Ordering::Relaxed),
-                    warm_start_misses: self.warm_misses.load(Ordering::Relaxed),
                     device_evals: self.device_evals.load(Ordering::Relaxed),
                     device_reuses: self.device_reuses.load(Ordering::Relaxed),
                     polish_cap_hits: self.polish_cap_hits.load(Ordering::Relaxed),
-                    cluster_cap_hits: self.cluster_cap_hits.load(Ordering::Relaxed),
+                    polish_iterations: self.polish_iterations.load(Ordering::Relaxed),
                     newton_per_die_p50: newton.p50_ns,
                     newton_per_die_p99: newton.p99_ns,
                 }

@@ -37,7 +37,7 @@ use crate::CampaignError;
 use std::sync::atomic::Ordering;
 
 /// Schema tag carried by every partial-aggregate document.
-pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v4";
+pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v5";
 
 /// One shard's complete output: fold state, counters and slice binding.
 #[derive(Debug)]
@@ -276,6 +276,7 @@ pub fn partial_from_json(text: &str) -> Result<PartialAggregate, CampaignError> 
 mod tests {
     use super::*;
     use crate::aggregate::QuarantineRecord;
+    use crate::checkpoint::rechecksum;
     use crate::spec::{CampaignSpec, WaferMap};
     use crate::wire::spec_fingerprint;
     use crate::worker::run_campaign;
@@ -326,8 +327,8 @@ mod tests {
         let text = partial_to_json(&shard_partial(&spec, 0, 4));
         assert!(partial_from_json(&text.replace(PARTIAL_SCHEMA, "x")).is_err());
         // A document of the previous schema version is refused.
-        let v3 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v3");
-        assert!(partial_from_json(&v3).is_err());
+        let v4 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v4");
+        assert!(partial_from_json(&v4).is_err());
         // A flipped content byte trips the checksum.
         let mut flipped = text.clone().into_bytes();
         let at = text.find("\"start_die\"").unwrap() + 2;
@@ -350,29 +351,6 @@ mod tests {
         let adjacent = shard_partial(&spec, 2, 4);
         left.merge(adjacent).unwrap();
         assert_eq!((left.start_die, left.end_die), (0, 4));
-    }
-
-    /// Recomputes the content checksum of a (possibly mutated) document,
-    /// so a mutation reaches the decoder instead of the checksum gate.
-    /// Documents whose checksum field is itself damaged come back as-is.
-    fn rechecksum(text: &str) -> String {
-        const FIELD: &str = "\"checksum\":\"";
-        let Some(start) = text.find(FIELD) else {
-            return text.to_string();
-        };
-        let digits = start + FIELD.len();
-        let Some(tail) = text.get(digits + 16..digits + 18) else {
-            return text.to_string();
-        };
-        if tail != "\"," {
-            return text.to_string();
-        }
-        let mut h = fnv1a64(&text.as_bytes()[..start]);
-        for &b in &text.as_bytes()[digits + 18..] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{}{h:016x}{}", &text[..digits], &text[digits + 16..])
     }
 
     /// Decodes `text`, failing the test with `what` if the decoder panics.

@@ -379,7 +379,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"schema\":\"icvbe-campaign-metrics-v3\",\n",
+            "  \"schema\":\"icvbe-campaign-metrics-v4\",\n",
             "  \"threads\":{threads},\n",
             "  \"dies_started\":{started},\n",
             "  \"dies_completed\":{completed},\n",
@@ -389,10 +389,9 @@ pub fn metrics_json(run: &CampaignRun) -> String {
             "  \"max_reorder_buffer\":{buf},\n",
             "  \"solver\":{{\"solves\":{solves},\"newton_iterations\":{newton},\
              \"newton_per_solve\":{npsolve},\"selfheat_iterations\":{selfheat},\
-             \"warm_start_hits\":{hits},\"warm_start_misses\":{misses},\
-             \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
+             \"device_evals\":{devevals},\
              \"device_reuses\":{devreuses},\"eval_reuse_rate\":{reuserate},\
-             \"polish_cap_hits\":{polcap},\"cluster_cap_hits\":{clucap},\
+             \"polish_iterations\":{politers},\"polish_cap_hits\":{polcap},\
              \"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
             "  \"recovery\":{{\"corners_retried\":{retried},\
@@ -417,14 +416,11 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         newton = m.solver.newton_iterations,
         npsolve = num(m.solver.newton_per_solve()),
         selfheat = m.solver.selfheat_iterations,
-        hits = m.solver.warm_start_hits,
-        misses = m.solver.warm_start_misses,
-        hitrate = num(m.solver.warm_hit_rate()),
         devevals = m.solver.device_evals,
         devreuses = m.solver.device_reuses,
         reuserate = num(m.solver.eval_reuse_rate()),
+        politers = m.solver.polish_iterations,
         polcap = m.solver.polish_cap_hits,
-        clucap = m.solver.cluster_cap_hits,
         np50 = m.solver.newton_per_die_p50,
         np99 = m.solver.newton_per_die_p99,
         retried = m.recovery.corners_retried,

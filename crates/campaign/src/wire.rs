@@ -14,8 +14,9 @@
 //! # Retired solver switches
 //!
 //! Specs once carried three solver speed switches: `warm_start`,
-//! `bypass` and `sparse`. The solver now always runs warm-started, the
-//! device bypass and the sparse LU are deleted, and the switches are gone. The
+//! `bypass` and `sparse`. The solver now seeds every solve at its
+//! closed-form point, the device bypass and the sparse LU are deleted,
+//! and the switches are gone. The
 //! encoder still writes each key as the constant `true`, so every spec
 //! keeps the canonical bytes, and therefore the fingerprint, it had
 //! before; existing checkpoints still resume. The decoder requires each key and answers

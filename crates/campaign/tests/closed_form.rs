@@ -9,14 +9,16 @@
 //! answers are scored against that law, evaluated here with libm rather
 //! than the solver's own exponential kernel.
 
-use icvbe_bandgap::card::st_bicmos_pnp;
+mod common;
+
+use common::ideal_card;
 use icvbe_bandgap::pair::{PairReading, PairStructure};
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 use icvbe_instrument::bench::{SolveMode, TestStructureBench};
 use icvbe_spice::bjt::BjtParams;
 use icvbe_spice::workspace::SolveWorkspace;
 use icvbe_units::constants::{BOLTZMANN_OVER_Q, Q_OVER_BOLTZMANN};
-use icvbe_units::{Ampere, Volt};
+use icvbe_units::Ampere;
 
 /// Largest relative gap between a solved collector current and the
 /// ideal-diode law at the solved `VBE`. Measured: 2.2e-16 (one ulp of
@@ -33,15 +35,6 @@ const KCL_REL_BOUND: f64 = 4e-14;
 /// One ulp of `ln(IS/T^XTI)` (~7e-15) moves the fitted `EG` by ~4e-16 eV
 /// over the paper's plan; the bound is ~10x that.
 const EG_BOUND_EV: f64 = 5e-15;
-
-/// `st_bicmos_pnp` with every non-ideality that bends the diode law off.
-fn ideal_card() -> BjtParams {
-    let mut card = st_bicmos_pnp();
-    card.ise = Ampere::new(0.0);
-    card.ikf = Ampere::new(f64::INFINITY);
-    card.vaf = Volt::new(f64::INFINITY);
-    card
-}
 
 /// Eq. 1: `IS(T) = IS (T/Tnom)^XTI exp(q EG/k (1/Tnom - 1/T))`.
 fn is_eq1(card: &BjtParams, t: f64) -> f64 {

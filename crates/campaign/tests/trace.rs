@@ -110,7 +110,7 @@ fn trace_events_carry_deterministic_logical_fields() {
     assert_eq!(queue_waits, expected.len(), "one queue-wait span per die");
 
     // Every corner span is stamped with its corner index; newton end
-    // records carry the iteration-count payload (a warm-started solve may
+    // records carry the iteration-count payload (a seeded solve may
     // legitimately converge in zero iterations, but not all of them).
     let corners = spec.corners.len() as i32;
     assert!(trace

@@ -98,8 +98,8 @@ pub struct PairCampaignPoint {
 
 /// How the compiled measurement path drives the circuit solver.
 ///
-/// There is one mode: every circuit solve after a pair's first is
-/// warm-started.
+/// There is one mode: every circuit solve starts at the pair's closed-form
+/// diode point ([`CompiledPair::measure_at`]).
 /// The type has no fields and stays only because
 /// [`TestStructureBench::run_pair_campaign_with`] and
 /// [`TestStructureBench::campaign_dc_options_with`] take it, and callers
@@ -107,13 +107,13 @@ pub struct PairCampaignPoint {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveMode;
 
-/// Per-thread scratch for the warm measurement path: solver buffers plus
+/// Per-thread scratch for the measurement path: solver buffers plus
 /// iteration counters.
 ///
 /// One scratch serves any number of dies sequentially; nothing in it
 /// affects results, only speed and observability. The embedded
 /// [`SolveStats`] and the self-heating counter let the campaign layer
-/// report Newton iteration counts and warm-start hit rates without
+/// report Newton, polish and self-heating iteration counts without
 /// re-plumbing every call site.
 #[derive(Debug, Default)]
 pub struct BenchScratch {
@@ -186,9 +186,9 @@ impl TestStructureBench {
         }
     }
 
-    /// Runs a full setpoint sweep on one die: the compiled, warm-started
-    /// sweep of [`TestStructureBench::run_pair_campaign_with`] with fresh
-    /// scratch and output buffers.
+    /// Runs a full setpoint sweep on one die: the compiled sweep of
+    /// [`TestStructureBench::run_pair_campaign_with`] with fresh scratch
+    /// and output buffers.
     ///
     /// # Errors
     ///
@@ -200,21 +200,13 @@ impl TestStructureBench {
         setpoints: &[Celsius],
     ) -> Result<Vec<PairCampaignPoint>, BenchError> {
         let mut out = Vec::with_capacity(setpoints.len());
-        self.sweep_compiled(
-            sample,
-            bias,
-            setpoints,
-            &mut BenchScratch::new(),
-            &mut out,
-            true,
-        )?;
+        self.sweep_compiled(sample, bias, setpoints, &mut BenchScratch::new(), &mut out)?;
         Ok(out)
     }
 
     /// Solver options every pair measurement runs with:
-    /// [`polished_dc_options`], whose Newton polishing makes each solve's
-    /// result bitwise independent of its starting point — the property
-    /// that lets warm-started sweeps reproduce cold-started ones exactly.
+    /// [`polished_dc_options`], whose Newton polishing carries each solve
+    /// to the last-ulp neighbourhood of its root.
     #[must_use]
     pub fn campaign_dc_options_with(_mode: SolveMode) -> DcOptions {
         polished_dc_options()
@@ -225,12 +217,10 @@ impl TestStructureBench {
     /// is scaled once, solver storage comes from `scratch`, and results
     /// are appended to the caller's `out` buffer (cleared first).
     ///
-    /// Every circuit solve after the first is seeded from the previous
-    /// converged solution — across self-heating iterations *and* across
-    /// setpoints. Solves run with
-    /// [`TestStructureBench::campaign_dc_options_with`], whose Newton
-    /// polishing makes the measured points bit-identical to cold-started
-    /// solves; only the iteration counters differ.
+    /// Every circuit solve starts at the pair's closed-form diode point
+    /// for its own temperature ([`CompiledPair::measure_at`]), so a point
+    /// depends on its die, bias and setpoint only. Solves run with
+    /// [`TestStructureBench::campaign_dc_options_with`].
     ///
     /// # Errors
     ///
@@ -244,13 +234,11 @@ impl TestStructureBench {
         out: &mut Vec<PairCampaignPoint>,
         _mode: SolveMode,
     ) -> Result<(), BenchError> {
-        self.sweep_compiled(sample, bias, setpoints, scratch, out, true)
+        self.sweep_compiled(sample, bias, setpoints, scratch, out)
     }
 
     /// The compiled sweep behind [`TestStructureBench::run_pair_campaign`]
-    /// and [`TestStructureBench::run_pair_campaign_with`];
-    /// `warm_start: false` is the cold oracle the tests compare the warm
-    /// path against.
+    /// and [`TestStructureBench::run_pair_campaign_with`].
     fn sweep_compiled(
         &mut self,
         sample: &DieSample,
@@ -258,21 +246,14 @@ impl TestStructureBench {
         setpoints: &[Celsius],
         scratch: &mut BenchScratch,
         out: &mut Vec<PairCampaignPoint>,
-        warm_start: bool,
     ) -> Result<(), BenchError> {
         out.clear();
         let mut compiled = sample.pair_structure(bias).compile()?;
         let path = self.path.scaled(sample.rth_scale)?;
         let options = TestStructureBench::campaign_dc_options_with(SolveMode);
         for &setpoint in setpoints {
-            let point = self.measure_compiled_at(
-                &mut compiled,
-                &path,
-                setpoint,
-                &options,
-                scratch,
-                warm_start,
-            )?;
+            let point =
+                self.measure_compiled_at(&mut compiled, &path, setpoint, &options, scratch)?;
             out.push(point);
         }
         Ok(())
@@ -287,17 +268,16 @@ impl TestStructureBench {
         setpoint: Celsius,
         options: &DcOptions,
         scratch: &mut BenchScratch,
-        warm_start: bool,
     ) -> Result<PairCampaignPoint, BenchError> {
         let chamber = ThermalChamber::new(setpoint.to_kelvin(), self.chamber_offset);
         let ambient = chamber.ambient();
         let aux = self.auxiliary_power_watts;
 
-        // The thermal trajectory starts at ambient in both warm and cold
-        // modes: seeding it would change the rounding of the converged die
-        // temperature and break warm/cold bit-identity. Warm starts only
-        // seed Newton inside the power closure, where polishing erases
-        // their trace.
+        // The electro-thermal fixed point starts at ambient, under-relaxes
+        // every step and stops below 1e-4 K. Each circuit solve inside the
+        // power closure starts at the pair's closed-form diode point for
+        // the iterate's temperature, so the trajectory is a function of
+        // (ambient, path, aux) alone.
         let die = {
             let solve = &mut scratch.solve;
             solve_die_temperature(
@@ -305,7 +285,7 @@ impl TestStructureBench {
                 path,
                 |t| {
                     let p_pair = compiled
-                        .measure_at(t, options, solve, warm_start)
+                        .measure_at(t, options, solve, true)
                         .map(|r| compiled.structure().power_watts(&r))
                         .unwrap_or(0.0);
                     p_pair + aux
@@ -316,8 +296,7 @@ impl TestStructureBench {
         };
         scratch.selfheat_iterations += die.iterations as u64;
 
-        let reading =
-            compiled.measure_at(die.temperature, options, &mut scratch.solve, warm_start)?;
+        let reading = compiled.measure_at(die.temperature, options, &mut scratch.solve, true)?;
         let case = chamber.sensor_reading(path, die.power_watts);
         let sensor_temperature = self.sensor.read(case);
 
@@ -402,55 +381,6 @@ mod tests {
         assert!(pts
             .windows(2)
             .all(|w| w[0].dvbe.value() < w[1].dvbe.value()));
-    }
-
-    #[test]
-    fn warm_and_cold_campaigns_are_bit_identical() {
-        let setpoints: Vec<Celsius> = [-25.0, 25.0, 75.0].map(Celsius::new).to_vec();
-        let sample = SampleFactory::seeded(7).draw(3);
-
-        let mut cold_bench = TestStructureBench::paper_bench(11);
-        let mut cold_scratch = BenchScratch::new();
-        let mut cold_points = Vec::new();
-        cold_bench
-            .sweep_compiled(
-                &sample,
-                Ampere::new(1e-6),
-                &setpoints,
-                &mut cold_scratch,
-                &mut cold_points,
-                false,
-            )
-            .unwrap();
-
-        let mut warm_bench = TestStructureBench::paper_bench(11);
-        let mut warm_scratch = BenchScratch::new();
-        let mut warm_points = Vec::new();
-        warm_bench
-            .run_pair_campaign_with(
-                &sample,
-                Ampere::new(1e-6),
-                &setpoints,
-                &mut warm_scratch,
-                &mut warm_points,
-                SolveMode,
-            )
-            .unwrap();
-
-        assert_eq!(cold_points, warm_points);
-        let (cold_stats, cold_selfheat) = cold_scratch.take_counters();
-        let (warm_stats, warm_selfheat) = warm_scratch.take_counters();
-        // Identical physics, fewer Newton iterations.
-        assert_eq!(cold_selfheat, warm_selfheat);
-        assert_eq!(cold_stats.solves, warm_stats.solves);
-        assert_eq!(cold_stats.warm_starts, 0);
-        assert!(warm_stats.warm_starts >= warm_stats.solves - 1);
-        assert!(
-            warm_stats.newton_iterations < cold_stats.newton_iterations,
-            "warm {} vs cold {} Newton iterations",
-            warm_stats.newton_iterations,
-            cold_stats.newton_iterations
-        );
     }
 
     #[test]

@@ -420,11 +420,11 @@ pub fn render(run: &CampaignRun) -> String {
     let _ = writeln!(
         s,
         "\n  solver: {} solves, {} Newton iters ({:.1}/solve), \
-         warm-start hit rate {:.1}%, {} self-heating iters",
+         {} polish iters, {} self-heating iters",
         solver.solves,
         solver.newton_iterations,
         solver.newton_per_solve(),
-        solver.warm_hit_rate() * 100.0,
+        solver.polish_iterations,
         solver.selfheat_iterations,
     );
     let _ = writeln!(
@@ -830,7 +830,7 @@ mod tests {
         assert!(text.contains("CAMPAIGN"));
         assert!(text.contains("corner"));
         assert!(text.contains("nom"));
-        assert!(text.contains("warm-start hit rate"));
+        assert!(text.contains("polish iters"));
     }
 
     #[test]

@@ -293,27 +293,6 @@ impl NonlinearSystem for CircuitSystem<'_> {
         }
         Ok(())
     }
-
-    fn residual_and_jacobian(
-        &self,
-        x: &[f64],
-        f: &mut [f64],
-        jac: &mut Matrix,
-    ) -> Result<(), NumericsError> {
-        // One stamping pass fills both. Residual accumulation does not
-        // depend on whether a Jacobian is attached, so `f` is bitwise
-        // identical to what `residual` alone writes — the contract the
-        // polish canonicalization depends on.
-        f.fill(0.0);
-        self.stamp_jacobian(x, f, jac);
-        if f.iter().any(|v| !v.is_finite()) {
-            return Err(NumericsError::invalid("non-finite circuit residual"));
-        }
-        if !jac.is_finite() {
-            return Err(NumericsError::invalid("non-finite circuit jacobian"));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -449,8 +428,10 @@ mod tests {
         let mut fh = vec![0.0; n];
         let mut fc = vec![0.0; n];
         for x in &points {
-            hot.residual_and_jacobian(x, &mut fh, &mut jh).unwrap();
-            cold.residual_and_jacobian(x, &mut fc, &mut jc).unwrap();
+            hot.residual(x, &mut fh).unwrap();
+            hot.jacobian(x, &mut jh).unwrap();
+            cold.residual(x, &mut fc).unwrap();
+            cold.jacobian(x, &mut jc).unwrap();
             let fh_bits: Vec<u64> = fh.iter().map(|v| v.to_bits()).collect();
             let fc_bits: Vec<u64> = fc.iter().map(|v| v.to_bits()).collect();
             assert_eq!(fh_bits, fc_bits, "residual bits at {x:?}");

@@ -18,7 +18,7 @@
 //!
 //! The workspace also keeps running [`SolveStats`] so callers (the
 //! campaign metrics pipeline) can observe Newton iteration counts and
-//! warm-start hit rates without threading counters through every layer.
+//! ladder rungs without threading counters through every layer.
 
 use icvbe_numerics::newton::{solve_newton_traced, NewtonWorkspace};
 use icvbe_numerics::NumericsError;
@@ -40,10 +40,6 @@ pub struct SolveStats {
     /// Damped Newton iterations accumulated across successful strategy
     /// stages (same counting as [`crate::solver::OperatingPoint::iterations`]).
     pub newton_iterations: u64,
-    /// Solves seeded from a caller-provided initial vector.
-    pub warm_starts: u64,
-    /// Solves started from all zeros.
-    pub cold_starts: u64,
     /// Successful solves by the ladder rung that produced them, indexed
     /// by [`SolveStrategy::index`].
     pub ladder_success: [u64; 4],
@@ -53,11 +49,12 @@ pub struct SolveStats {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
+    /// Full-step polish iterations accumulated across every Newton run
+    /// (see [`icvbe_numerics::newton::NewtonOptions::polish`]).
+    pub polish_iterations: u64,
     /// Newton polishes that ran out of iterations before reaching a
     /// fixed point or two-cycle.
     pub polish_cap_hits: u64,
-    /// Last-ulp cluster walks that stopped at their member cap.
-    pub cluster_cap_hits: u64,
 }
 
 impl SolveStats {
@@ -73,8 +70,6 @@ impl SolveStats {
 pub struct DcSolveInfo {
     /// Newton iterations across all continuation stages.
     pub iterations: usize,
-    /// Whether the solve was seeded from a caller-provided vector.
-    pub warm_started: bool,
     /// The ladder rung that produced the converged solution.
     pub strategy: SolveStrategy,
 }
@@ -127,8 +122,8 @@ pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) 
     ws.stats.device_reuses += effort.device_reuses;
 }
 
-/// One traced Newton solve from `ws.x`, booking the polish cap hits into
-/// the stats; returns the damped iterations.
+/// One traced Newton solve from `ws.x`, booking the polish iterations and
+/// cap hits into the stats; returns the damped iterations.
 fn newton(
     system: &CircuitSystem<'_>,
     options: &DcOptions,
@@ -141,8 +136,8 @@ fn newton(
         &mut ws.newton,
         &mut ws.trace,
     )?;
+    ws.stats.polish_iterations += info.polish_iterations as u64;
     ws.stats.polish_cap_hits += info.polish_cap_hits as u64;
-    ws.stats.cluster_cap_hits += info.cluster_cap_hits as u64;
     Ok(info.iterations)
 }
 
@@ -153,7 +148,6 @@ pub(crate) fn rung_succeeded(
     assembly: &CircuitAssembly,
     strategy: SolveStrategy,
     iterations: usize,
-    warm: bool,
     rung: SpanToken,
     solve: SpanToken,
 ) -> DcSolveInfo {
@@ -164,7 +158,6 @@ pub(crate) fn rung_succeeded(
     ws.stats.ladder_success[strategy.index()] += 1;
     DcSolveInfo {
         iterations,
-        warm_started: warm,
         strategy,
     }
 }
@@ -224,24 +217,19 @@ pub fn solve_dc_with(
     let mut system = CircuitSystem::hot_path(circuit, eval, assembly);
     let n = assembly.dimension();
     ws.ensure(n);
-    let warm = matches!(initial, Some(x) if x.len() == n);
+    let seeded = matches!(initial, Some(x) if x.len() == n);
     match initial {
         Some(x) if x.len() == n => ws.x0.copy_from_slice(x),
         _ => ws.x0.fill(0.0),
     }
     ws.stats.solves += 1;
-    if warm {
-        ws.stats.warm_starts += 1;
-    } else {
-        ws.stats.cold_starts += 1;
-    }
 
     let solve_span = ws.trace.span(SpanKind::DcSolve);
     let mut iterations = 0usize;
     let mut failure = SolveFailure::new();
 
     // Rung 1 — warm start: direct Newton from the caller's seed.
-    if warm {
+    if seeded {
         let rung = ws
             .trace
             .span_labeled(SpanKind::Rung, SolveStrategy::WarmStart.label());
@@ -254,7 +242,6 @@ pub fn solve_dc_with(
                     assembly,
                     SolveStrategy::WarmStart,
                     iterations,
-                    warm,
                     rung,
                     solve_span,
                 ));
@@ -281,7 +268,6 @@ pub fn solve_dc_with(
                 assembly,
                 SolveStrategy::ColdStart,
                 iterations,
-                warm,
                 rung,
                 solve_span,
             ));
@@ -337,7 +323,6 @@ pub fn solve_dc_with(
                     assembly,
                     SolveStrategy::GminStepping,
                     iterations,
-                    warm,
                     rung,
                     solve_span,
                 ));
@@ -410,7 +395,6 @@ pub fn solve_dc_with(
         assembly,
         SolveStrategy::SourceStepping,
         iterations,
-        warm,
         rung,
         solve_span,
     ))
@@ -453,7 +437,7 @@ mod tests {
         let info = solve_dc_with(&c, &assembly, t, &opts, None, &mut ws).unwrap();
         assert_eq!(owned.solution(), ws.solution());
         assert_eq!(owned.iterations, info.iterations);
-        assert!(!info.warm_started);
+        assert_eq!(info.strategy, SolveStrategy::ColdStart);
     }
 
     #[test]
@@ -469,13 +453,12 @@ mod tests {
             assert_eq!(owned.solution(), ws.solution(), "temperature {t:?}");
         }
         assert_eq!(ws.stats.solves, 3);
-        assert_eq!(ws.stats.cold_starts, 3);
-        assert_eq!(ws.stats.warm_starts, 0);
+        assert_eq!(ws.stats.ladder_success, [0, 3, 0, 0]);
         assert!(ws.stats.newton_iterations > 0);
     }
 
     #[test]
-    fn warm_start_is_counted_and_converges_fast() {
+    fn seeded_solve_is_counted_and_converges_fast() {
         let c = ptat_cell();
         let t = Kelvin::new(298.15);
         let opts = DcOptions::default();
@@ -484,15 +467,13 @@ mod tests {
         let cold = solve_dc_with(&c, &assembly, t, &opts, None, &mut ws).unwrap();
         let seed: Vec<f64> = ws.solution().to_vec();
         let warm = solve_dc_with(&c, &assembly, t, &opts, Some(&seed), &mut ws).unwrap();
-        assert!(warm.warm_started);
         assert!(
             warm.iterations < cold.iterations,
             "warm {} vs cold {}",
             warm.iterations,
             cold.iterations
         );
-        assert_eq!(ws.stats.warm_starts, 1);
-        assert_eq!(ws.stats.cold_starts, 1);
+        assert_eq!(ws.stats.ladder_success, [1, 1, 0, 0]);
     }
 
     #[test]
@@ -500,14 +481,12 @@ mod tests {
         let mut stats = SolveStats {
             solves: 3,
             newton_iterations: 17,
-            warm_starts: 1,
-            cold_starts: 2,
             ladder_success: [1, 2, 0, 0],
             ladder_exhausted: 0,
             device_evals: 42,
             device_reuses: 9,
+            polish_iterations: 5,
             polish_cap_hits: 1,
-            cluster_cap_hits: 2,
         };
         let taken = stats.take();
         assert_eq!(taken.solves, 3);

@@ -17,6 +17,7 @@ use std::thread::LocalKey;
 
 use icvbe_spice::bjt::{Bjt, BjtParams, Polarity};
 use icvbe_spice::element::{CurrentSource, Resistor};
+use icvbe_spice::ladder::SolveStrategy;
 use icvbe_spice::netlist::Circuit;
 use icvbe_spice::solver::DcOptions;
 use icvbe_spice::system::CircuitAssembly;
@@ -97,21 +98,20 @@ fn steady_state_solves_do_not_allocate() {
     let circuit = test_cell();
     let assembly = CircuitAssembly::new(&circuit).unwrap();
     let mut opts = DcOptions::default();
-    // The campaign runs with polish enabled; cover its cluster-walk
-    // buffers too.
+    // The campaign runs with polish enabled; cover its buffers too.
     opts.newton.polish = true;
     let mut ws = SolveWorkspace::new();
 
     // Warm-up: the first solve sizes every workspace buffer (Newton
-    // scratch, Jacobian, LU storage, polish cluster); the second runs the
-    // warm-start rung once. After that the solver owns all of its memory.
+    // scratch, Jacobian, LU storage); the second runs the seeded rung
+    // once. After that the solver owns all of its memory.
     let t0 = Kelvin::new(298.15);
     solve_dc_with(&circuit, &assembly, t0, &opts, None, &mut ws).unwrap();
     let seed: Vec<f64> = ws.solution().to_vec();
     solve_dc_with(&circuit, &assembly, t0, &opts, Some(&seed), &mut ws).unwrap();
     ws.stats.take();
 
-    // Steady state: cold starts, warm starts, and temperature changes of
+    // Steady state: cold starts, seeded starts, and temperature changes of
     // the same system must all run entirely out of the workspace.
     let temperatures = [248.15, 273.15, 298.15, 323.15, 348.15];
     let (allocs, reallocs, iterations) = count_allocations(|| {
@@ -120,7 +120,7 @@ fn steady_state_solves_do_not_allocate() {
             let t = Kelvin::new(t);
             let cold = solve_dc_with(&circuit, &assembly, t, &opts, None, &mut ws).unwrap();
             let warm = solve_dc_with(&circuit, &assembly, t, &opts, Some(&seed), &mut ws).unwrap();
-            assert!(warm.warm_started);
+            assert_eq!(warm.strategy, SolveStrategy::WarmStart);
             iterations += cold.iterations + warm.iterations;
         }
         iterations
