@@ -99,8 +99,8 @@ pub struct CornerOutcome {
 /// Per-die solve containment budget. Zero fields (the default) disable
 /// enforcement entirely.
 ///
-/// The iteration budget counts damped Newton iterations consumed by the
-/// die so far; once exceeded, the die's **remaining** corners are retired
+/// The iteration budget counts every Newton step consumed by the die so
+/// far; once exceeded, the die's **remaining** corners are retired
 /// as [`FailureKind::BudgetExhausted`] without running. Iteration counts
 /// are deterministic per `(spec, die)`, so the verdict is
 /// byte-reproducible at any thread count.

@@ -84,4 +84,5 @@ pub use spec::CampaignSpec;
 pub use taxonomy::FailureKind;
 pub use worker::{
     run_campaign, run_campaign_streaming, run_campaign_with, CampaignRun, StreamOptions,
+    MAX_THREADS,
 };

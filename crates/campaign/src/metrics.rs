@@ -164,7 +164,7 @@ pub struct CampaignCounters {
     pub stages: [LogHistogram; 3],
     /// Circuit solves issued (every Newton entry of every die).
     pub solves: AtomicU64,
-    /// Damped Newton iterations, summed over all solves.
+    /// Newton steps, summed over all solves.
     pub newton_total: AtomicU64,
     /// Electro-thermal fixed-point iterations, summed over all setpoints.
     pub selfheat_total: AtomicU64,
@@ -172,11 +172,6 @@ pub struct CampaignCounters {
     pub device_evals: AtomicU64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: AtomicU64,
-    /// Newton polishes that ran out of iterations before reaching a
-    /// fixed point or two-cycle.
-    pub polish_cap_hits: AtomicU64,
-    /// Full-step polish iterations, summed over all solves.
-    pub polish_iterations: AtomicU64,
     /// Per-die Newton iteration totals (histogram of counts, not ns).
     pub newton_per_die: LogHistogram,
     /// Per-die self-heating iteration totals (histogram of counts).
@@ -212,7 +207,7 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 18] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 16] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
@@ -222,8 +217,6 @@ impl CampaignCounters {
             ("selfheat_total", &self.selfheat_total),
             ("device_evals", &self.device_evals),
             ("device_reuses", &self.device_reuses),
-            ("polish_cap_hits", &self.polish_cap_hits),
-            ("polish_iterations", &self.polish_iterations),
             ("corners_retried", &self.corners_retried),
             ("corners_recovered", &self.corners_recovered),
             ("robust_recoveries", &self.robust_recoveries),
@@ -267,10 +260,6 @@ impl CampaignCounters {
             .fetch_add(stats.device_evals, Ordering::Relaxed);
         self.device_reuses
             .fetch_add(stats.device_reuses, Ordering::Relaxed);
-        self.polish_cap_hits
-            .fetch_add(stats.polish_cap_hits, Ordering::Relaxed);
-        self.polish_iterations
-            .fetch_add(stats.polish_iterations, Ordering::Relaxed);
         self.newton_per_die.record_ns(stats.newton_iterations);
         self.selfheat_per_die.record_ns(selfheat_iterations);
     }
@@ -331,14 +320,14 @@ pub struct ContainmentMetrics {
     pub checkpoint_generation_fallbacks: u64,
 }
 
-/// Solver-level observability: how much numerical work the campaign did,
-/// including the polish tail. Like all metrics, never part of the
+/// Solver-level observability: how much numerical work the campaign did.
+/// Like all metrics, never part of the
 /// deterministic aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverMetrics {
     /// Circuit solves issued.
     pub solves: u64,
-    /// Total damped Newton iterations.
+    /// Total Newton steps.
     pub newton_iterations: u64,
     /// Total electro-thermal fixed-point iterations.
     pub selfheat_iterations: u64,
@@ -346,11 +335,6 @@ pub struct SolverMetrics {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
-    /// Newton polishes that ran out of iterations before reaching a
-    /// fixed point or two-cycle.
-    pub polish_cap_hits: u64,
-    /// Full-step polish iterations, summed over all solves.
-    pub polish_iterations: u64,
     /// Median per-die Newton iteration count (log₂-bucket upper bound).
     pub newton_per_die_p50: u64,
     /// 99th-percentile per-die Newton iteration count (bucket upper bound).
@@ -401,7 +385,7 @@ pub struct CampaignMetrics {
     pub max_reorder_buffer: usize,
     /// Per-stage timing summaries.
     pub stages: Vec<StageSnapshot>,
-    /// Solver iteration counts and polish accounting.
+    /// Solver iteration counts and device-evaluation accounting.
     pub solver: SolverMetrics,
     /// Retry / robust-recovery / quarantine accounting.
     pub recovery: RecoveryMetrics,
@@ -445,8 +429,6 @@ impl CampaignCounters {
                     selfheat_iterations: self.selfheat_total.load(Ordering::Relaxed),
                     device_evals: self.device_evals.load(Ordering::Relaxed),
                     device_reuses: self.device_reuses.load(Ordering::Relaxed),
-                    polish_cap_hits: self.polish_cap_hits.load(Ordering::Relaxed),
-                    polish_iterations: self.polish_iterations.load(Ordering::Relaxed),
                     newton_per_die_p50: newton.p50_ns,
                     newton_per_die_p99: newton.p99_ns,
                 }

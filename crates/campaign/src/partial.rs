@@ -37,7 +37,7 @@ use crate::CampaignError;
 use std::sync::atomic::Ordering;
 
 /// Schema tag carried by every partial-aggregate document.
-pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v5";
+pub const PARTIAL_SCHEMA: &str = "icvbe-campaign-partial-v6";
 
 /// One shard's complete output: fold state, counters and slice binding.
 #[derive(Debug)]
@@ -327,8 +327,8 @@ mod tests {
         let text = partial_to_json(&shard_partial(&spec, 0, 4));
         assert!(partial_from_json(&text.replace(PARTIAL_SCHEMA, "x")).is_err());
         // A document of the previous schema version is refused.
-        let v4 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v4");
-        assert!(partial_from_json(&v4).is_err());
+        let v5 = text.replace(PARTIAL_SCHEMA, "icvbe-campaign-partial-v5");
+        assert!(partial_from_json(&v5).is_err());
         // A flipped content byte trips the checksum.
         let mut flipped = text.clone().into_bytes();
         let at = text.find("\"start_die\"").unwrap() + 2;

@@ -379,7 +379,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"schema\":\"icvbe-campaign-metrics-v4\",\n",
+            "  \"schema\":\"icvbe-campaign-metrics-v5\",\n",
             "  \"threads\":{threads},\n",
             "  \"dies_started\":{started},\n",
             "  \"dies_completed\":{completed},\n",
@@ -391,7 +391,6 @@ pub fn metrics_json(run: &CampaignRun) -> String {
              \"newton_per_solve\":{npsolve},\"selfheat_iterations\":{selfheat},\
              \"device_evals\":{devevals},\
              \"device_reuses\":{devreuses},\"eval_reuse_rate\":{reuserate},\
-             \"polish_iterations\":{politers},\"polish_cap_hits\":{polcap},\
              \"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
             "  \"recovery\":{{\"corners_retried\":{retried},\
@@ -419,8 +418,6 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         devevals = m.solver.device_evals,
         devreuses = m.solver.device_reuses,
         reuserate = num(m.solver.eval_reuse_rate()),
-        politers = m.solver.polish_iterations,
-        polcap = m.solver.polish_cap_hits,
         np50 = m.solver.newton_per_die_p50,
         np99 = m.solver.newton_per_die_p99,
         retried = m.recovery.corners_retried,

@@ -39,6 +39,11 @@ use crate::CampaignError;
 /// thread, large enough that the atomic is off the hot path.
 const CHUNK: usize = 16;
 
+/// Most worker threads a campaign may ask for. Thread counts arrive from
+/// command lines and shard request lines; their parsers refuse larger
+/// values before any thread is spawned.
+pub const MAX_THREADS: usize = 1024;
+
 /// A finished campaign: the deterministic aggregate plus the run's
 /// (non-deterministic) observability snapshot.
 #[derive(Debug, Clone, PartialEq)]

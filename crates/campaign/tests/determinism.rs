@@ -55,10 +55,10 @@ fn assert_all_seeded(stats: &SolveStats, what: &str) {
 fn every_pair_solve_converges_from_its_closed_form_seed() {
     // Both cards, with and without the substrate parasitic, over the
     // paper's current range (10 nA-10 uA) and 223-398 K: each solve must
-    // converge on the seeded rung, within a damped-iteration bound.
-    // Measured maximum: 3 damped iterations in one solve (x86-64); the
-    // bound is 4.
-    const DAMPED_BOUND: u64 = 4;
+    // converge on the seeded rung, within a Newton-step bound. Every step
+    // counts, the final full steps of the step test included. Measured
+    // maximum: 6 steps in one solve (x86-64); the bound is 7.
+    const DAMPED_BOUND: u64 = 7;
     let options = TestStructureBench::campaign_dc_options_with(SolveMode);
     let mut ws = SolveWorkspace::new();
     let mut worst = 0;
@@ -80,15 +80,12 @@ fn every_pair_solve_converges_from_its_closed_form_seed() {
         }
     }
     assert_all_seeded(&ws.stats, "structure grid");
-    assert!(
-        worst <= DAMPED_BOUND,
-        "{worst} damped iterations in one solve"
-    );
+    assert!(worst <= DAMPED_BOUND, "{worst} Newton steps in one solve");
 
     // One d8 campaign: every die's corner sweeps, electro-thermal loop
-    // included. Measured maximum: 2.42 damped iterations per solve,
-    // averaged over one die (x86-64); the bound is 3.
-    const PER_DIE_BOUND: f64 = 3.0;
+    // included. Measured maximum: 4.73 Newton steps per solve, averaged
+    // over one die (x86-64); the bound is 5.
+    const PER_DIE_BOUND: f64 = 5.0;
     let spec = spec();
     let setpoints = spec.plan.setpoints();
     let mut scratch = DieScratch::new();
@@ -106,7 +103,7 @@ fn every_pair_solve_converges_from_its_closed_form_seed() {
     assert_all_seeded(&scratch.bench.solve.stats, "d8 campaign");
     assert!(
         worst_die <= PER_DIE_BOUND,
-        "{worst_die} damped iterations per solve on one die"
+        "{worst_die} Newton steps per solve on one die"
     );
 }
 

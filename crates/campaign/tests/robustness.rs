@@ -49,8 +49,10 @@ fn zero_fault_spec_reproduces_golden_aggregate_bytes() {
     // Fixtures were written by the pre-robustness engine and regenerated
     // once when aggregation moved to exact superaccumulators (every
     // serialized statistic is now the correctly-rounded value, a ≤1-ulp
-    // shift from the old streaming fold): the fault-injection layer must
-    // be a strict no-op when every knob is zero.
+    // shift from the old streaming fold), and at each solver change
+    // since, the latest the per-unknown Newton step test (aggregates
+    // moved ≤ 3.3e-12 relative): the fault-injection layer must be a
+    // strict no-op when every knob is zero.
     let spec = CampaignSpec::paper_default(WaferMap::circular(4), 7);
     assert!(
         spec.faults.is_none(),

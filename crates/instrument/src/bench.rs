@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use icvbe_bandgap::pair::{polished_dc_options, CompiledPair};
+use icvbe_bandgap::pair::CompiledPair;
 use icvbe_core::meijer::{MeijerMeasurement, MeijerPoint};
 use icvbe_spice::solver::DcOptions;
 use icvbe_spice::workspace::{SolveStats, SolveWorkspace};
@@ -113,7 +113,7 @@ pub struct SolveMode;
 /// One scratch serves any number of dies sequentially; nothing in it
 /// affects results, only speed and observability. The embedded
 /// [`SolveStats`] and the self-heating counter let the campaign layer
-/// report Newton, polish and self-heating iteration counts without
+/// report Newton and self-heating iteration counts without
 /// re-plumbing every call site.
 #[derive(Debug, Default)]
 pub struct BenchScratch {
@@ -204,12 +204,11 @@ impl TestStructureBench {
         Ok(out)
     }
 
-    /// Solver options every pair measurement runs with:
-    /// [`polished_dc_options`], whose Newton polishing carries each solve
-    /// to the last-ulp neighbourhood of its root.
+    /// Solver options every pair measurement runs with: the circuit
+    /// defaults, [`DcOptions::default`], like every other DC solve.
     #[must_use]
     pub fn campaign_dc_options_with(_mode: SolveMode) -> DcOptions {
-        polished_dc_options()
+        DcOptions::default()
     }
 
     /// [`TestStructureBench::run_pair_campaign`] on caller-owned buffers:

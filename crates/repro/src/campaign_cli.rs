@@ -41,7 +41,8 @@
 //! `--chaos-seed`, bit-identical at any thread count. The write/socket
 //! knobs of the same spec act in the campaign service (`repro serve`).
 //! `--die-iter-budget N` retires the remaining corners of a die that has
-//! spent `N` Newton iterations (`budget_exhausted`, deterministic);
+//! spent `N` Newton steps, every step of every solve counted
+//! (`budget_exhausted`, deterministic);
 //! `--die-wall-ms` is the wall-clock analogue and the one knowingly
 //! nondeterministic knob.
 //!
@@ -57,7 +58,7 @@ use icvbe_campaign::die::DieBudget;
 use icvbe_campaign::report::write_reports;
 use icvbe_campaign::spec::{WaferMap, MAX_GRID_SITES};
 use icvbe_campaign::taxonomy::FailureKind;
-use icvbe_campaign::{run_campaign_with, CampaignRun, CampaignSpec, StreamOptions};
+use icvbe_campaign::{run_campaign_with, CampaignRun, CampaignSpec, StreamOptions, MAX_THREADS};
 use icvbe_instrument::chaos::ChaosSpec;
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_serve::shard::{run_sharded, ShardOptions};
@@ -195,7 +196,7 @@ pub struct CampaignCliArgs {
     pub chaos: ChaosSpec,
     /// Seed of the chaos plan (`--chaos-seed`).
     pub chaos_seed: u64,
-    /// Per-die Newton-iteration budget (`--die-iter-budget`, 0 = off).
+    /// Per-die Newton-step budget (`--die-iter-budget`, 0 = off).
     pub die_iter_budget: u64,
     /// Per-die wall-clock budget in ms (`--die-wall-ms`, 0 = off;
     /// nondeterministic escape hatch).
@@ -209,7 +210,9 @@ impl Default for CampaignCliArgs {
     fn default() -> Self {
         CampaignCliArgs {
             spec: SpecCliArgs::default(),
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_THREADS),
             out: None,
             trace: false,
             trace_dir: None,
@@ -260,6 +263,9 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                     .map_err(|_| format!("bad --threads value {v:?}"))?;
                 if out.threads == 0 {
                     return Err("--threads must be positive".to_string());
+                }
+                if out.threads > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}"));
                 }
             }
             "--out" => {
@@ -420,11 +426,10 @@ pub fn render(run: &CampaignRun) -> String {
     let _ = writeln!(
         s,
         "\n  solver: {} solves, {} Newton iters ({:.1}/solve), \
-         {} polish iters, {} self-heating iters",
+         {} self-heating iters",
         solver.solves,
         solver.newton_iterations,
         solver.newton_per_solve(),
-        solver.polish_iterations,
         solver.selfheat_iterations,
     );
     let _ = writeln!(
@@ -510,8 +515,9 @@ pub fn help() -> String {
      acts only on die_panic — panicking dies are contained and quarantined\n\
      as internal_panic, deterministically per seed. --die-iter-budget\n\
      retires a runaway die's remaining corners as budget_exhausted after N\n\
-     Newton iterations (deterministic); --die-wall-ms is the wall-clock\n\
-     escape hatch (nondeterministic by nature).\n\
+     Newton steps (deterministic; every step counts, the final converging\n\
+     steps included); --die-wall-ms is the wall-clock escape hatch\n\
+     (nondeterministic by nature).\n\
      \n\
      --shards N runs the wafer across N worker processes, each folding a\n\
      contiguous die-range slice; the supervisor merges the partial\n\
@@ -660,6 +666,14 @@ mod tests {
         assert!(parse_args(&sv(&["--bogus"])).is_err());
         assert!(parse_args(&sv(&["--threads"])).is_err());
         assert!(parse_args(&sv(&["--threads", "zero"])).is_err());
+        let cap = MAX_THREADS.to_string();
+        assert_eq!(
+            parse_args(&sv(&["--threads", &cap])).unwrap().threads,
+            MAX_THREADS
+        );
+        let above = (MAX_THREADS + 1).to_string();
+        assert!(parse_args(&sv(&["--threads", &above])).is_err());
+        assert!(parse_args(&sv(&["--threads", &usize::MAX.to_string()])).is_err());
         assert!(parse_args(&sv(&["--dies", "0"])).is_err());
     }
 
@@ -830,7 +844,7 @@ mod tests {
         assert!(text.contains("CAMPAIGN"));
         assert!(text.contains("corner"));
         assert!(text.contains("nom"));
-        assert!(text.contains("polish iters"));
+        assert!(text.contains("self-heating iters"));
     }
 
     #[test]

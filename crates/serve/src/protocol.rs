@@ -37,7 +37,7 @@ pub struct ProtocolError {
 }
 
 impl ProtocolError {
-    fn bad(detail: impl Into<String>) -> Self {
+    pub(crate) fn bad(detail: impl Into<String>) -> Self {
         ProtocolError {
             kind: "bad_request",
             detail: detail.into(),

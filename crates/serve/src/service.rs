@@ -165,7 +165,9 @@ struct Job {
     total_dies: usize,
     state: JobState,
     next_die: usize,
-    aggregate: CampaignAggregate,
+    /// The fold state a live job's next slice resumes from; `None` once
+    /// the job has ended, since a finished job only replays its events.
+    aggregate: Option<CampaignAggregate>,
     counters: Arc<CampaignCounters>,
     cancel: Arc<AtomicBool>,
     /// Checkpoint generation counter: incremented on every write, persisted
@@ -174,8 +176,11 @@ struct Job {
     generation: Arc<AtomicU64>,
     elapsed_ns: u64,
     max_buffer: usize,
-    /// Rendered event lines, in order, replayed to late subscribers.
-    history: Vec<String>,
+    /// Die events published so far; a late subscriber gets event `i`
+    /// re-rendered as `die_line(id, i, i + 1, total)`, not stored.
+    streamed: usize,
+    /// The terminal event line, once the job has ended.
+    terminal: Option<String>,
     subscribers: Vec<mpsc::Sender<String>>,
 }
 
@@ -392,30 +397,37 @@ impl Inner {
         }
     }
 
-    /// Appends an event line to a job's history and fans it out to the
-    /// live subscribers (dead ones are dropped).
-    fn publish_locked(job: &mut Job, line: String) {
-        job.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
-        job.history.push(line);
-    }
-
     fn publish_die(&self, job_id: u64, die_index: usize, total: usize) {
         let mut state = lock(&self.state);
         if let Some(job) = state.jobs.get_mut(&job_id) {
+            debug_assert_eq!(die_index, job.streamed, "dies stream in index order");
+            job.streamed += 1;
             let line = die_line(job_id, die_index, die_index as u64 + 1, total);
-            Inner::publish_locked(job, line);
+            job.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
         }
     }
 
-    /// Terminalizes a finished job: renders the artifacts, publishes the
-    /// `done` event, releases subscribers and deletes the checkpoint.
-    fn finalize_done(&self, job_id: u64, job: &mut Job) {
+    /// Ends a job: sends its terminal line to the subscribers and keeps it
+    /// for late ones, releases its fold state, deletes its checkpoint.
+    fn end(&self, job_id: u64, job: &mut Job, state: JobState, line: String) {
+        job.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
+        job.subscribers.clear();
+        job.terminal = Some(line);
+        job.state = state;
+        job.aggregate = None;
+        self.remove_checkpoint(job_id);
+        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+    }
+
+    /// Ends a finished job with its `done` event, which carries the
+    /// artifacts rendered from the job's final `aggregate`.
+    fn finalize_done(&self, job_id: u64, job: &mut Job, aggregate: CampaignAggregate) {
         let metrics =
             job.counters
                 .snapshot(self.config.threads.max(1), job.elapsed_ns, job.max_buffer);
         let run = CampaignRun {
             spec: job.spec.clone(),
-            aggregate: job.aggregate.clone(),
+            aggregate,
             metrics,
             trace: None,
         };
@@ -428,22 +440,13 @@ impl Inner {
         ];
         let borrowed: Vec<(&str, &str)> = artifacts.iter().map(|(n, t)| (*n, t.as_str())).collect();
         let line = done_line(job_id, &borrowed);
-        Inner::publish_locked(job, line);
-        job.subscribers.clear();
-        job.state = JobState::Done;
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.remove_checkpoint(job_id);
-        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+        self.end(job_id, job, JobState::Done, line);
     }
 
     fn finalize_cancelled(&self, job_id: u64, job: &mut Job) {
-        let line = cancelled_line(job_id);
-        Inner::publish_locked(job, line);
-        job.subscribers.clear();
-        job.state = JobState::Cancelled;
         self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.remove_checkpoint(job_id);
-        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+        self.end(job_id, job, JobState::Cancelled, cancelled_line(job_id));
     }
 
     fn finalize_failed(&self, job_id: u64, job: &mut Job, detail: &str) {
@@ -451,11 +454,7 @@ impl Inner {
             "{{\"ok\":false,\"type\":\"failed\",\"job\":{job_id},\"detail\":\"{}\"}}",
             escape(detail)
         );
-        Inner::publish_locked(job, line);
-        job.subscribers.clear();
-        job.state = JobState::Failed;
-        self.remove_checkpoint(job_id);
-        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+        self.end(job_id, job, JobState::Failed, line);
     }
 
     /// Picks the next `(job id, slice task)` fairly: tenants are visited
@@ -521,7 +520,7 @@ impl Inner {
             trace: false,
             start_die: task.start_die,
             end_die: Some(end_die),
-            resume: Some(task.aggregate),
+            resume: task.aggregate,
             counters: Some(Arc::clone(&task.counters)),
             chaos: self.config.chaos,
             chaos_seed: self.config.chaos_seed,
@@ -566,12 +565,13 @@ impl Inner {
             Ok(run) => {
                 job.elapsed_ns += slice_started.elapsed().as_nanos() as u64;
                 job.max_buffer = job.max_buffer.max(run.metrics.max_reorder_buffer);
-                job.aggregate = run.aggregate;
                 job.next_die = task.start_die + folded;
                 if job.cancel.load(Ordering::Relaxed) {
                     self.finalize_cancelled(task.job, job);
                 } else if job.next_die >= job.total_dies {
-                    self.finalize_done(task.job, job);
+                    self.finalize_done(task.job, job, run.aggregate);
+                } else {
+                    job.aggregate = Some(run.aggregate);
                 }
             }
             Err(e) => self.finalize_failed(task.job, job, &format!("{e:?}")),
@@ -587,7 +587,7 @@ impl Inner {
             let Some(job) = state.jobs.get_mut(&id) else {
                 continue;
             };
-            if job.state.live() {
+            if let Some(aggregate) = &job.aggregate {
                 self.write_checkpoint(
                     &CheckpointMeta {
                         job: id,
@@ -599,7 +599,7 @@ impl Inner {
                         counters: &job.counters,
                     },
                     job.next_die,
-                    &job.aggregate,
+                    aggregate,
                 );
             }
             job.subscribers.clear();
@@ -616,7 +616,7 @@ struct SliceTask {
     fingerprint: u64,
     start_die: usize,
     total: usize,
-    aggregate: CampaignAggregate,
+    aggregate: Option<CampaignAggregate>,
     counters: Arc<CampaignCounters>,
     cancel: Arc<AtomicBool>,
     generation: Arc<AtomicU64>,
@@ -816,12 +816,6 @@ impl Service {
             }
             state.next_id = state.next_id.max(r.id + 1);
             let total = r.spec.wafer.die_count();
-            // Re-synthesize the already-folded dies' stream history so a
-            // re-attaching watcher sees the same gap-free event sequence
-            // an uninterrupted stream would have carried.
-            let history: Vec<String> = (0..r.next_die)
-                .map(|i| die_line(r.id, i, i as u64 + 1, total))
-                .collect();
             let counters = Arc::new(CampaignCounters::default());
             if fallback {
                 // Degradation is visible in the job's own metrics too,
@@ -841,13 +835,17 @@ impl Service {
                     spec: r.spec,
                     state: JobState::Queued,
                     next_die: r.next_die,
-                    aggregate: r.aggregate,
+                    aggregate: Some(r.aggregate),
                     counters,
                     cancel: Arc::new(AtomicBool::new(false)),
                     generation: Arc::new(AtomicU64::new(r.generation)),
                     elapsed_ns: 0,
                     max_buffer: 0,
-                    history,
+                    // The already-folded dies replay as streamed ones, so
+                    // a re-attaching watcher sees the same gap-free event
+                    // sequence an uninterrupted stream would have carried.
+                    streamed: r.next_die,
+                    terminal: None,
                     subscribers: Vec::new(),
                 },
             );
@@ -901,24 +899,9 @@ impl Service {
         let spec_wire = spec_to_json(&spec);
         let fingerprint = spec_fingerprint(&spec);
         let total = spec.wafer.die_count();
-        let job = Job {
-            tenant: tenant.to_string(),
-            label: label.to_string(),
-            spec_wire: spec_wire.clone(),
-            fingerprint,
-            total_dies: total,
-            aggregate: CampaignAggregate::new(&spec),
-            spec,
-            state: JobState::Queued,
-            next_die: 0,
-            counters: Arc::new(CampaignCounters::default()),
-            cancel: Arc::new(AtomicBool::new(false)),
-            generation: Arc::new(AtomicU64::new(0)),
-            elapsed_ns: 0,
-            max_buffer: 0,
-            history: Vec::new(),
-            subscribers: Vec::new(),
-        };
+        let aggregate = CampaignAggregate::new(&spec);
+        let counters = Arc::new(CampaignCounters::default());
+        let generation = Arc::new(AtomicU64::new(0));
         // Admission checkpoint: a daemon killed before the first cadence
         // checkpoint still knows about the job after restart.
         inner.write_checkpoint(
@@ -928,12 +911,31 @@ impl Service {
                 label,
                 spec_wire: &spec_wire,
                 fingerprint,
-                generation: &job.generation,
-                counters: &job.counters,
+                generation: &generation,
+                counters: &counters,
             },
             0,
-            &job.aggregate,
+            &aggregate,
         );
+        let job = Job {
+            tenant: tenant.to_string(),
+            label: label.to_string(),
+            spec_wire,
+            fingerprint,
+            total_dies: total,
+            aggregate: Some(aggregate),
+            spec,
+            state: JobState::Queued,
+            next_die: 0,
+            counters,
+            cancel: Arc::new(AtomicBool::new(false)),
+            generation,
+            elapsed_ns: 0,
+            max_buffer: 0,
+            streamed: 0,
+            terminal: None,
+            subscribers: Vec::new(),
+        };
         state.jobs.insert(id, job);
         inner.submitted.fetch_add(1, Ordering::Relaxed);
         inner.trace_event(SpanPhase::Begin, SpanKind::Job, id, 0);
@@ -943,7 +945,8 @@ impl Service {
     }
 
     /// Attaches to a job's event stream: the receiver first yields the
-    /// job's full history (in order), then live events as they happen,
+    /// job's full history (its die events so far, in order, and its
+    /// terminal line if it has ended), then live events as they happen,
     /// ending with the terminal `done`/`cancelled`/`failed` line. Returns
     /// `None` for an unknown job id.
     #[must_use]
@@ -951,9 +954,12 @@ impl Service {
         let mut state = lock(&self.inner.state);
         let job = state.jobs.get_mut(&job_id)?;
         let (tx, rx) = mpsc::channel();
-        for line in &job.history {
-            // Receiver is unbounded and in-hand; failure is impossible
-            // here, but stay silent rather than panic in a service.
+        // Receiver is unbounded and in-hand; failure is impossible here,
+        // but stay silent rather than panic in a service.
+        for i in 0..job.streamed {
+            let _ = tx.send(die_line(job_id, i, i as u64 + 1, job.total_dies));
+        }
+        if let Some(line) = &job.terminal {
             let _ = tx.send(line.clone());
         }
         if job.state.live() {
@@ -1194,6 +1200,12 @@ mod tests {
         assert!(lines[4].contains("\"type\":\"done\""));
         let stats = service.stats();
         assert_eq!(stats.completed, 1);
+        // A finished job replays the same stream without its fold state.
+        let late = drain_until_done(&service.subscribe(ticket.job).unwrap());
+        assert_eq!(late, lines);
+        assert!(lock(&service.inner.state).jobs[&ticket.job]
+            .aggregate
+            .is_none());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! |---|---|
 //! | supervisor → worker | `{"cmd":"shard_run","version":2,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
-//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v5"`) |
+//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v6"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
 //!
 //! A worker that exits without a terminal line (crash, kill, OOM) is
@@ -54,7 +54,11 @@ use icvbe_campaign::partial::{
     partial_from_json, partial_to_json, PartialAggregate, PARTIAL_SCHEMA,
 };
 use icvbe_campaign::wire::{spec_fingerprint, spec_from_value, spec_to_json};
-use icvbe_campaign::{run_campaign_streaming, CampaignRun, CampaignSpec, StreamOptions};
+use icvbe_campaign::{
+    run_campaign_streaming, CampaignRun, CampaignSpec, StreamOptions, MAX_THREADS,
+};
+
+use crate::protocol::ProtocolError;
 
 /// Version tag of the supervisor↔worker request line.
 pub const SHARD_PROTOCOL_VERSION: u32 = 2;
@@ -417,43 +421,93 @@ pub fn shard_worker_main() -> u8 {
     }
 }
 
+/// One decoded `shard_run` request line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardRequest {
+    /// Shard index.
+    pub shard: usize,
+    /// The slice's die range, `start_die..end_die`.
+    pub start_die: usize,
+    /// One past the slice's last die.
+    pub end_die: usize,
+    /// Worker threads, `1..=MAX_THREADS` (0 on the wire means 1).
+    pub threads: usize,
+    /// Per-die solve containment budget.
+    pub budget: DieBudget,
+    /// The campaign spec.
+    pub spec: CampaignSpec,
+}
+
+/// Decodes one `shard_run` request line without running anything.
+///
+/// # Errors
+///
+/// A [`ProtocolError`] of kind `unsupported_version` for another protocol
+/// version, else of kind `bad_request`: malformed JSON, a wrong `cmd`, a
+/// missing or non-integer field, `threads` above [`MAX_THREADS`], an
+/// invalid spec, or a slice outside the wafer.
+pub fn parse_shard_request(line: &str) -> Result<ShardRequest, ProtocolError> {
+    let v = parse(line).map_err(|e| ProtocolError::bad(e.to_string()))?;
+    if v.get("cmd").and_then(Json::as_str) != Some("shard_run") {
+        return Err(ProtocolError::bad("cmd must be \"shard_run\""));
+    }
+    if v.get("version").and_then(Json::as_u64) != Some(u64::from(SHARD_PROTOCOL_VERSION)) {
+        return Err(ProtocolError {
+            kind: "unsupported_version",
+            detail: format!("this worker speaks version {SHARD_PROTOCOL_VERSION}"),
+        });
+    }
+    let field = |k: &str| -> Result<u64, ProtocolError> {
+        v.get(k).and_then(Json::as_u64).ok_or_else(|| {
+            ProtocolError::bad(format!("field {k:?} must be a non-negative integer"))
+        })
+    };
+    let index = |k: &str| -> Result<usize, ProtocolError> {
+        usize::try_from(field(k)?)
+            .map_err(|_| ProtocolError::bad(format!("field {k:?} is out of range")))
+    };
+    let threads = index("threads")?.max(1);
+    if threads > MAX_THREADS {
+        return Err(ProtocolError::bad(format!(
+            "threads {threads} exceeds the cap of {MAX_THREADS}"
+        )));
+    }
+    let request = ShardRequest {
+        shard: index("shard")?,
+        start_die: index("start_die")?,
+        end_die: index("end_die")?,
+        threads,
+        budget: DieBudget {
+            max_newton_iterations: field("die_iter_budget")?,
+            max_wall_ms: field("die_wall_ms")?,
+        },
+        spec: spec_from_value(
+            v.get("spec")
+                .ok_or_else(|| ProtocolError::bad("request must carry a \"spec\" object"))?,
+        )
+        .map_err(|e| ProtocolError::bad(e.to_string()))?,
+    };
+    let dies = request.spec.wafer.die_count();
+    if request.end_die < request.start_die || request.end_die > dies {
+        return Err(ProtocolError::bad(format!(
+            "slice [{}, {}) does not fit the wafer's {dies} dies",
+            request.start_die, request.end_die
+        )));
+    }
+    Ok(request)
+}
+
 /// Parses and executes one `shard_run` request; returns the terminal
 /// partial-aggregate line.
 fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
-    let bad = |d: &str| ("bad_request".to_string(), d.to_string());
-    let v = parse(request).map_err(|e| bad(&e.to_string()))?;
-    if v.get("cmd").and_then(Json::as_str) != Some("shard_run") {
-        return Err(bad("cmd must be \"shard_run\""));
-    }
-    if v.get("version").and_then(Json::as_u64) != Some(u64::from(SHARD_PROTOCOL_VERSION)) {
-        return Err((
-            "unsupported_version".to_string(),
-            format!("this worker speaks version {SHARD_PROTOCOL_VERSION}"),
-        ));
-    }
-    let field = |k: &str| -> Result<u64, (String, String)> {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(&format!("field {k:?} must be a non-negative integer")))
-    };
-    let shard = field("shard")? as usize;
-    let start_die = field("start_die")? as usize;
-    let end_die = field("end_die")? as usize;
-    let threads = field("threads")?.max(1) as usize;
-    let budget = DieBudget {
-        max_newton_iterations: field("die_iter_budget")?,
-        max_wall_ms: field("die_wall_ms")?,
-    };
-    let spec_v = v
-        .get("spec")
-        .ok_or_else(|| bad("request must carry a \"spec\" object"))?;
-    let spec = spec_from_value(spec_v).map_err(|e| bad(&e.to_string()))?;
-    if end_die < start_die || end_die > spec.wafer.die_count() {
-        return Err(bad(&format!(
-            "slice [{start_die}, {end_die}) does not fit the wafer's {} dies",
-            spec.wafer.die_count()
-        )));
-    }
+    let ShardRequest {
+        shard,
+        start_die,
+        end_die,
+        threads,
+        budget,
+        spec,
+    } = parse_shard_request(request).map_err(|e| (e.kind.to_string(), e.detail))?;
 
     // Fault-injection hook: the named shard aborts mid-slice (after its
     // first folded die, or immediately on an empty slice) without a
@@ -547,15 +601,16 @@ mod tests {
             ..ShardOptions::default()
         };
         let line = shard_request_line(&spec, 1, (2, 4), &opts);
-        let v = parse(&line).unwrap();
-        assert_eq!(v.get("cmd").and_then(Json::as_str), Some("shard_run"));
-        assert_eq!(v.get("shard").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("start_die").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("end_die").and_then(Json::as_u64), Some(4));
-        assert_eq!(v.get("threads").and_then(Json::as_u64), Some(3));
-        assert!(v.get("batch").is_none() && v.get("libm_exp").is_none());
-        let decoded = spec_from_value(v.get("spec").unwrap()).unwrap();
-        assert_eq!(decoded, spec);
+        assert!(!line.contains("\"batch\"") && !line.contains("\"libm_exp\""));
+        let want = ShardRequest {
+            shard: 1,
+            start_die: 2,
+            end_die: 4,
+            threads: 3,
+            budget: opts.budget,
+            spec,
+        };
+        assert_eq!(parse_shard_request(&line), Ok(want));
     }
 
     #[test]

@@ -1,29 +1,34 @@
-//! Seeded never-panic sweep of the request decoder.
+//! Seeded never-panic sweeps of the two request decoders that read bytes
+//! from another process: the service's `protocol::parse_request` and the
+//! shard worker's `shard::parse_shard_request`. Through them run the
+//! hand-rolled JSON parser and the spec wire decoder. Two properties are
+//! checked on generated requests (in-tree xoshiro256++, so every run sees
+//! the same inputs):
 //!
-//! `protocol::parse_request` is the first code a client's bytes reach, and
-//! through it the hand-rolled JSON parser and the spec wire decoder. Two
-//! properties are checked on generated requests (in-tree xoshiro256++, so
-//! every run sees the same inputs):
-//!
-//! 1. every valid request of every verb decodes to exactly the request it
-//!    was generated from — for `submit`, the embedded spec re-encodes to
-//!    the same canonical bytes;
+//! 1. every valid request decodes to exactly the request it was generated
+//!    from — for `submit`, the embedded spec re-encodes to the same
+//!    canonical bytes;
 //! 2. every truncation prefix of those lines, plus seeded byte flips,
 //!    splices of two lines and duplicated keys, decodes to a request or a
-//!    typed `bad_request` error, never a panic. A submit of a wafer far
-//!    above the grid cap joins the inputs: it and its mutants must come
-//!    back promptly instead of counting trillions of grid positions.
+//!    typed error, never a panic. A request for a wafer far above the grid
+//!    cap joins the inputs: it and its mutants must come back promptly
+//!    instead of counting trillions of grid positions. A shard request
+//!    for more threads than `MAX_THREADS` joins them too; the decoder
+//!    refuses it, so no sweep ever spawns a thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use icvbe_campaign::die::DieBudget;
 use icvbe_campaign::json::escape;
 use icvbe_campaign::spec::{BenchProfile, BiasCorner, CampaignSpec, SpecWindow, TemperaturePlan};
 use icvbe_campaign::spec::{WaferMap, MAX_RETRY_BUDGET};
 use icvbe_campaign::wire::spec_to_json;
+use icvbe_campaign::MAX_THREADS;
 use icvbe_instrument::faults::FaultSpec;
 use icvbe_instrument::montecarlo::VariationSpec;
 use icvbe_numerics::rng::Xoshiro256PlusPlus;
-use icvbe_serve::protocol::{parse_request, Request};
+use icvbe_serve::protocol::{parse_request, ProtocolError, Request};
+use icvbe_serve::shard::{parse_shard_request, shard_request_line, ShardOptions, ShardRequest};
 
 /// Lines generated per verb.
 const LINES_PER_VERB: usize = 8;
@@ -213,18 +218,84 @@ fn request(rng: &mut Xoshiro256PlusPlus, verb: usize) -> (String, Request) {
     }
 }
 
-/// Decodes `bytes` (lossily, as the line may no longer be UTF-8) and
-/// requires a request or a typed error, reporting the input on a panic.
-fn decode_without_panic(bytes: &[u8], what: &str) -> Option<Request> {
+/// Decodes `bytes` (lossily, as the line may no longer be UTF-8) with
+/// `decode`, which must answer a value or an error of one of the `typed`
+/// kinds; reports the input on a panic.
+fn decode_without_panic<T>(
+    decode: impl Fn(&str) -> Result<T, ProtocolError>,
+    typed: &[&str],
+    bytes: &[u8],
+    what: &str,
+) -> Option<T> {
     let line = String::from_utf8_lossy(bytes);
-    match catch_unwind(AssertUnwindSafe(|| parse_request(&line))) {
+    match catch_unwind(AssertUnwindSafe(|| decode(&line))) {
         Ok(Ok(request)) => Some(request),
         Ok(Err(e)) => {
-            assert_eq!(e.kind, "bad_request", "{what}: untyped error on {line:?}");
+            assert!(
+                typed.contains(&e.kind),
+                "{what}: untyped error {e:?} on {line:?}"
+            );
             None
         }
-        Err(_) => panic!("{what}: parse_request panicked on {line:?}"),
+        Err(_) => panic!("{what}: decoder panicked on {line:?}"),
     }
+}
+
+/// Feeds `lines` and their mutants through `decode`: every truncation
+/// prefix, then per line [`MUTATIONS_PER_LINE`] byte flips, splices with
+/// another line, a duplicate `cmd` (drawn from `verbs`) up front, and the
+/// line's members repeated inside one object, which must decode as the
+/// line itself does (the first occurrence of a key wins). Returns the
+/// `(decoded, rejected)` tally.
+fn sweep<T: PartialEq + std::fmt::Debug>(
+    rng: &mut Xoshiro256PlusPlus,
+    lines: &[Vec<u8>],
+    verbs: &[&str],
+    decode: impl Fn(&[u8], &str) -> Option<T>,
+) -> (usize, usize) {
+    let mut decoded = 0usize;
+    let mut rejected = 0usize;
+    let mut tally = |r: Option<T>| match r {
+        Some(_) => decoded += 1,
+        None => rejected += 1,
+    };
+    for line in lines {
+        for cut in 0..line.len() {
+            tally(decode(&line[..cut], "truncation"));
+        }
+        for _ in 0..MUTATIONS_PER_LINE {
+            let mut flipped = line.clone();
+            let at = rng.below(line.len() as u64) as usize;
+            flipped[at] ^= 1 << rng.below(8);
+            tally(decode(&flipped, "byte flip"));
+
+            let other = &lines[rng.below(lines.len() as u64) as usize];
+            let mut spliced = line[..rng.below(line.len() as u64 + 1) as usize].to_vec();
+            spliced.extend_from_slice(&other[rng.below(other.len() as u64 + 1) as usize..]);
+            tally(decode(&spliced, "splice"));
+
+            let verb = verbs[rng.below(verbs.len() as u64) as usize];
+            let mut dup = format!("{{\"cmd\":\"{verb}\",").into_bytes();
+            dup.extend_from_slice(&line[1..]);
+            tally(decode(&dup, "duplicate cmd"));
+            let inner = &line[1..line.len() - 1];
+            let mut twice = b"{".to_vec();
+            twice.extend_from_slice(inner);
+            twice.push(b',');
+            twice.extend_from_slice(inner);
+            twice.push(b'}');
+            assert_eq!(
+                decode(&twice, "duplicate members"),
+                decode(line, "original"),
+                "the first occurrence of a key wins"
+            );
+        }
+    }
+    (decoded, rejected)
+}
+
+fn decode_request(bytes: &[u8], what: &str) -> Option<Request> {
+    decode_without_panic(parse_request, &["bad_request"], bytes, what)
 }
 
 /// A submit line whose wafer (3e6 dies across, 9e12 grid positions) is far
@@ -263,47 +334,91 @@ fn mutated_requests_decode_or_fail_typed_never_panic() {
         .map(String::into_bytes)
         .collect();
     let verbs = ["hello", "submit", "status", "results", "cancel", "shutdown"];
-    let mut decoded = 0usize;
-    let mut rejected = 0usize;
-    let mut tally = |r: Option<Request>| match r {
-        Some(_) => decoded += 1,
-        None => rejected += 1,
-    };
-    for line in &lines {
-        for cut in 0..line.len() {
-            tally(decode_without_panic(&line[..cut], "truncation"));
-        }
-        for _ in 0..MUTATIONS_PER_LINE {
-            let mut flipped = line.clone();
-            let at = rng.below(line.len() as u64) as usize;
-            flipped[at] ^= 1 << rng.below(8);
-            tally(decode_without_panic(&flipped, "byte flip"));
-
-            let other = &lines[rng.below(lines.len() as u64) as usize];
-            let mut spliced = line[..rng.below(line.len() as u64 + 1) as usize].to_vec();
-            spliced.extend_from_slice(&other[rng.below(other.len() as u64 + 1) as usize..]);
-            tally(decode_without_panic(&spliced, "splice"));
-
-            // Duplicate keys: a second `cmd` up front, and the whole line's
-            // members repeated inside one object.
-            let verb = verbs[rng.below(verbs.len() as u64) as usize];
-            let mut dup = format!("{{\"cmd\":\"{verb}\",").into_bytes();
-            dup.extend_from_slice(&line[1..]);
-            tally(decode_without_panic(&dup, "duplicate cmd"));
-            let inner = &line[1..line.len() - 1];
-            let mut twice = b"{".to_vec();
-            twice.extend_from_slice(inner);
-            twice.push(b',');
-            twice.extend_from_slice(inner);
-            twice.push(b'}');
-            assert_eq!(
-                decode_without_panic(&twice, "duplicate members"),
-                decode_without_panic(line, "original"),
-                "the first occurrence of a key wins"
-            );
-        }
-    }
+    let (decoded, rejected) = sweep(&mut rng, &lines, &verbs, decode_request);
     // Both outcomes occur, so the sweep reaches past the first byte.
+    assert!(
+        decoded > 0 && rejected > 0,
+        "{decoded} decoded, {rejected} rejected"
+    );
+}
+
+/// Shard request lines generated per sweep.
+const SHARD_LINES: usize = 16;
+
+/// One valid shard request line and the request it must decode to.
+fn shard_request(rng: &mut Xoshiro256PlusPlus) -> (String, ShardRequest) {
+    let spec = spec(rng);
+    let dies = spec.wafer.die_count() as u64;
+    let start_die = rng.below(dies + 1) as usize;
+    let end_die = start_die + rng.below(dies - start_die as u64 + 1) as usize;
+    let opts = ShardOptions {
+        shards: 1 + rng.below(8) as usize,
+        threads: 1 + rng.below(MAX_THREADS as u64) as usize,
+        budget: DieBudget {
+            max_newton_iterations: id(rng),
+            max_wall_ms: id(rng),
+        },
+        worker_exe: None,
+    };
+    let shard = rng.below(opts.shards as u64) as usize;
+    let line = shard_request_line(&spec, shard, (start_die, end_die), &opts);
+    let want = ShardRequest {
+        shard,
+        start_die,
+        end_die,
+        threads: opts.threads,
+        budget: opts.budget,
+        spec,
+    };
+    (line, want)
+}
+
+fn decode_shard_request(bytes: &[u8], what: &str) -> Option<ShardRequest> {
+    decode_without_panic(
+        parse_shard_request,
+        &["bad_request", "unsupported_version"],
+        bytes,
+        what,
+    )
+}
+
+#[test]
+fn generated_shard_requests_round_trip() {
+    let mut rng = Xoshiro256PlusPlus::seeded(0x5EED_0003);
+    for _ in 0..SHARD_LINES {
+        let (line, want) = shard_request(&mut rng);
+        let got = parse_shard_request(&line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        assert_eq!(spec_to_json(&got.spec), spec_to_json(&want.spec));
+        assert_eq!(got, want, "{line}");
+    }
+}
+
+#[test]
+fn mutated_shard_requests_decode_or_fail_typed_never_panic() {
+    let mut rng = Xoshiro256PlusPlus::seeded(0x5EED_0004);
+    let huge = CampaignSpec::paper_default(WaferMap::circular(3_000_000), 0);
+    let small = CampaignSpec::paper_default(WaferMap::circular(3), 0);
+    let greedy = ShardOptions {
+        threads: MAX_THREADS + 1,
+        ..ShardOptions::default()
+    };
+    let lines: Vec<Vec<u8>> = (0..SHARD_LINES)
+        .map(|_| shard_request(&mut rng).0)
+        .chain([
+            shard_request_line(&huge, 0, (0, 1), &ShardOptions::default()),
+            shard_request_line(&small, 0, (0, 1), &greedy),
+        ])
+        .map(String::into_bytes)
+        .collect();
+    // The cap is enforced at the parser, before any thread is spawned.
+    let refused = parse_shard_request(&shard_request_line(&small, 0, (0, 1), &greedy));
+    assert!(refused.is_err_and(|e| e.detail.contains("exceeds the cap")));
+    let (decoded, rejected) = sweep(
+        &mut rng,
+        &lines,
+        &["shard_run", "submit"],
+        decode_shard_request,
+    );
     assert!(
         decoded > 0 && rejected > 0,
         "{decoded} decoded, {rejected} rejected"

@@ -23,9 +23,9 @@ pub struct DcOptions {
 
 impl Default for DcOptions {
     fn default() -> Self {
-        // Residuals are KCL currents; 1e-9 A is far below any signal
-        // current in the workloads while staying reachable in f64 for
-        // microamp-scale circuits.
+        // Residuals are KCL currents. Newton converges on the per-unknown
+        // step test (`icvbe_numerics::newton::RELTOL` plus a 1e-12 V/A
+        // floor); the 1e-9 A residual bound only guards it.
         let newton = NewtonOptions {
             residual_tolerance: 1e-9,
             max_iterations: 300,
@@ -222,6 +222,32 @@ mod tests {
         c.add(Resistor::new("RL", out, Circuit::ground(), Ohm::new(10e3)).unwrap());
         let op = solve_dc(&c, Kelvin::new(300.0), &DcOptions::default(), None).unwrap();
         assert!((op.voltage(out).value() - 0.51).abs() < 1e-5);
+    }
+
+    #[test]
+    fn nanoamp_source_into_a_megohm_solves_to_its_node_voltage() {
+        // The zero start's 0.5 nA KCL residual is already within the
+        // 1e-9 A residual tolerance; the node's answer is still 0.5 mV
+        // away, so the solve must take its Newton steps.
+        let (i, r) = (0.5e-9, 1e6);
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        c.add(CurrentSource::new(
+            "I1",
+            Circuit::ground(),
+            n,
+            Ampere::new(i),
+        ));
+        c.add(Resistor::new("R1", n, Circuit::ground(), Ohm::new(r)).unwrap());
+        let options = DcOptions::default();
+        let op = solve_dc(&c, Kelvin::new(300.0), &options, None).unwrap();
+        let expected = i / (1.0 / r + options.gmin_floor);
+        let v = op.voltage(n).value();
+        assert!(
+            ((v - expected) / expected).abs() < 1e-12,
+            "{v} vs {expected}"
+        );
+        assert!(op.iterations >= 1);
     }
 
     #[test]

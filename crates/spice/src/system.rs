@@ -443,12 +443,9 @@ mod tests {
         assert!(effort.device_evals > 0);
         assert!(effort.device_reuses > 0, "{effort:?}");
 
-        // Solving: the same damped + polished Newton run through either
-        // binding lands on the same bits.
-        let opts = NewtonOptions {
-            polish: true,
-            ..NewtonOptions::default()
-        };
+        // Solving: the same Newton run through either binding lands on
+        // the same bits.
+        let opts = NewtonOptions::default();
         let mut xh = vec![0.0; n];
         let mut xc = vec![0.0; n];
         let ih = solve_newton_with(&hot, &mut xh, opts, &mut NewtonWorkspace::new()).unwrap();

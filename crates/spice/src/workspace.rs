@@ -37,8 +37,8 @@ use crate::SpiceError;
 pub struct SolveStats {
     /// DC solves completed (successfully or not).
     pub solves: u64,
-    /// Damped Newton iterations accumulated across successful strategy
-    /// stages (same counting as [`crate::solver::OperatingPoint::iterations`]).
+    /// Newton steps accumulated across successful strategy stages (same
+    /// counting as [`crate::solver::OperatingPoint::iterations`]).
     pub newton_iterations: u64,
     /// Successful solves by the ladder rung that produced them, indexed
     /// by [`SolveStrategy::index`].
@@ -49,12 +49,6 @@ pub struct SolveStats {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
-    /// Full-step polish iterations accumulated across every Newton run
-    /// (see [`icvbe_numerics::newton::NewtonOptions::polish`]).
-    pub polish_iterations: u64,
-    /// Newton polishes that ran out of iterations before reaching a
-    /// fixed point or two-cycle.
-    pub polish_cap_hits: u64,
 }
 
 impl SolveStats {
@@ -122,8 +116,7 @@ pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) 
     ws.stats.device_reuses += effort.device_reuses;
 }
 
-/// One traced Newton solve from `ws.x`, booking the polish iterations and
-/// cap hits into the stats; returns the damped iterations.
+/// One traced Newton solve from `ws.x`; returns its iterations.
 fn newton(
     system: &CircuitSystem<'_>,
     options: &DcOptions,
@@ -136,8 +129,6 @@ fn newton(
         &mut ws.newton,
         &mut ws.trace,
     )?;
-    ws.stats.polish_iterations += info.polish_iterations as u64;
-    ws.stats.polish_cap_hits += info.polish_cap_hits as u64;
     Ok(info.iterations)
 }
 
@@ -485,8 +476,6 @@ mod tests {
             ladder_exhausted: 0,
             device_evals: 42,
             device_reuses: 9,
-            polish_iterations: 5,
-            polish_cap_hits: 1,
         };
         let taken = stats.take();
         assert_eq!(taken.solves, 3);

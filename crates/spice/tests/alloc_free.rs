@@ -1,6 +1,6 @@
 //! Enforces the workspace contract with a counting allocator: once a
 //! [`SolveWorkspace`] has been sized by a first solve, further solves of
-//! the same system — cold- or warm-started, with polish enabled — perform
+//! the same system — cold- or warm-started — perform
 //! **zero** heap allocations. This pins the "allocation-free hot path"
 //! property the campaign engine's throughput rests on; a stray `Vec` or
 //! `format!` sneaking into the Newton inner loop fails this test rather
@@ -74,7 +74,7 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 
 /// A bandgap-flavoured nonlinear cell: two mismatched diode-connected
 /// PNPs plus a resistor, so the solve exercises the exponential device
-/// path, damping, and (with polish on) the fixed-point canonicalization.
+/// path and damping.
 fn test_cell() -> Circuit {
     let mut c = Circuit::new();
     let va = c.node("va");
@@ -97,9 +97,7 @@ fn test_cell() -> Circuit {
 fn steady_state_solves_do_not_allocate() {
     let circuit = test_cell();
     let assembly = CircuitAssembly::new(&circuit).unwrap();
-    let mut opts = DcOptions::default();
-    // The campaign runs with polish enabled; cover its buffers too.
-    opts.newton.polish = true;
+    let opts = DcOptions::default();
     let mut ws = SolveWorkspace::new();
 
     // Warm-up: the first solve sizes every workspace buffer (Newton

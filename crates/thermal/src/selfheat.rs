@@ -76,11 +76,11 @@ pub fn solve_die_temperature(
 ///
 /// A good seed — the converged temperature of an adjacent setpoint — cuts
 /// the iteration count, but the *trajectory* and therefore the rounding of
-/// the converged temperature depend on the seed. Callers that guarantee
-/// bit-identical results between seeded and unseeded runs (the campaign
-/// engine) deliberately keep `start = ambient` and warm-start only the
-/// circuit solves inside `power`, where Newton polishing restores seed
-/// independence.
+/// the converged temperature depend on the seed. Callers whose results
+/// must not depend on what was solved before (the campaign engine) keep
+/// `start` a function of the setpoint's own inputs (today `ambient`), and
+/// so must every circuit solve inside `power`: the pair starts each Newton
+/// solve at its closed-form diode point.
 ///
 /// # Errors
 ///

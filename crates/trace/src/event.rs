@@ -103,7 +103,7 @@ impl SpanKind {
     /// deterministic solver counters.
     pub fn payload_keys(self) -> (&'static str, &'static str) {
         match self {
-            SpanKind::Newton => ("iters", "polish"),
+            SpanKind::Newton => ("iters", ""),
             SpanKind::DcSolve => ("iters", ""),
             SpanKind::RobustFit => ("rounds", "outliers"),
             SpanKind::Attempt => ("ok", ""),

@@ -324,8 +324,10 @@ mod tests {
         assert!(json.contains("\"schema\":\"icvbe-campaign-trace-v1\""));
         assert!(json.contains("\"name\":\"die\""));
         assert!(json.contains("\"cat\":\"solver\""));
-        // Newton end carries its iteration payload deterministically.
-        assert!(json.contains("\"iters\":6,\"polish\":2"));
+        // Newton end carries its iteration payload deterministically; its
+        // unused second slot is omitted even when nonzero.
+        assert!(json.contains("\"iters\":6}"));
+        assert!(!json.contains(":2}"));
         // ts is µs with ns precision: 250 ns → 0.250.
         assert!(json.contains("\"ts\":0.250"));
         // Begin events carry no payload keys.

@@ -22,6 +22,14 @@ cargo test --workspace -q
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
+echo "==> benchmark package: build, unit tests, --quick smoke"
+# examples/benchmark is a package of its own (not a workspace member) that
+# compiles against the facade's public API; build and run it here so an
+# API break fails this gate instead of the benchmark run.
+cargo build --release --manifest-path examples/benchmark/Cargo.toml
+cargo test -q --manifest-path examples/benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --quick
+
 echo "==> bench smoke: campaign_scaling threads/8 (guards + timing)"
 cargo bench -p icvbe-bench --bench campaign_scaling -- 'threads/8'
 
