@@ -2,27 +2,23 @@
 //! boundary, encoded so that resuming reproduces an uninterrupted run
 //! **byte for byte**.
 //!
-//! # Exactness
+//! # Bit-exact state
 //!
 //! The aggregate folds dies in index order and a resumed fold continues
-//! that exact sequence, so the checkpoint must restore every accumulator
-//! bit-exactly. Since v2 the moment accumulators are exact fixed-point
-//! superaccumulators ([`icvbe_numerics::exact::ExactSum`]): each encodes
-//! as a sparse list of `[limb_index, "signed-decimal"]` pairs — the limb
-//! value travels as a decimal *string* because the top limb is a full
-//! signed `i64` and the JSON parser reads numbers through `f64`, which
-//! cannot hold every `i64` exactly. The `±inf`-capable min/max fields
-//! remain plain `f64`s encoded as the 16-hex-digit form of their
-//! IEEE-754 bit pattern. Counts are plain JSON numbers (all far below
-//! 2⁵³); the spec fingerprint is a full-width `u64` and travels as a hex
-//! string.
+//! that one sequence, so the checkpoint must restore every accumulator
+//! bit-exactly. The Welford and scatter recurrences are plain `f64`
+//! state; every `f64` — including the empty accumulator's `±inf`
+//! min/max — travels as the 16-hex-digit form of its IEEE-754 bit
+//! pattern. Counts are plain JSON numbers (all far below 2⁵³); the spec
+//! fingerprint is a full-width `u64` and travels as a hex string.
 //!
-//! v1 documents (decimal mean/M2 Welford state) cannot be converted to
-//! exact sums without inventing bits, so the v2 loader **rejects** them
-//! on the schema tag. The serve recovery ladder already treats an
-//! unreadable slot as `dropped_corrupt` and restarts the job from die 0;
-//! a one-time re-run beats resuming from state that can no longer
-//! reproduce the uninterrupted byte stream.
+//! Older documents carry other state: v1 decimal Welford mean/M2, v2
+//! exact-sum limbs. Neither can be turned into the v3 recurrence state
+//! without inventing bits, so the loader **rejects** them on the schema
+//! tag. The serve recovery ladder treats an unreadable slot as
+//! `dropped_corrupt`, and a resubmitted job starts from die 0; a one-time
+//! re-run beats resuming from state that can no longer reproduce the
+//! uninterrupted byte stream.
 //!
 //! # Crash-safety
 //!
@@ -48,10 +44,9 @@ use crate::aggregate::{
 use crate::json::{escape, parse, Json};
 use crate::taxonomy::FailureKind;
 use crate::CampaignError;
-use icvbe_numerics::exact::ExactSum;
 
 /// Schema tag carried by every checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "icvbe-campaign-checkpoint-v2";
+pub const CHECKPOINT_SCHEMA: &str = "icvbe-campaign-checkpoint-v3";
 
 /// A decoded checkpoint: where the fold stopped and everything it had
 /// accumulated by then.
@@ -86,33 +81,20 @@ pub(crate) fn bits(x: f64) -> String {
     format!("\"{:016x}\"", x.to_bits())
 }
 
-/// Sparse limb encoding of an [`ExactSum`]: `[[index,"signed-decimal"],…]`
-/// over the nonzero limbs only, ascending by index. The value is a string
-/// because the top limb is a full signed `i64` and the JSON parser reads
-/// numbers through `f64`.
-pub(crate) fn exact_json(x: &ExactSum) -> String {
-    let items: Vec<String> = x
-        .nonzero_limbs()
-        .map(|(i, v)| format!("[{i},\"{v}\"]"))
-        .collect();
-    format!("[{}]", items.join(","))
+/// Recurrence state as `[count, hex-bits × N]`: Welford's
+/// `[count,"mean","m2","min","max"]`, the scatter's
+/// `[n,"x̄","ȳ","cxx","cyy","cxy"]`.
+fn moments_json<const N: usize>((count, state): (u64, [f64; N])) -> String {
+    let items: Vec<String> = state.iter().map(|&x| bits(x)).collect();
+    format!("[{count},{}]", items.join(","))
 }
 
-pub(crate) fn welford_json(w: &Welford) -> String {
-    let (count, sum, sumsq, min, max) = w.raw();
-    format!(
-        "[{count},{},{},{},{}]",
-        exact_json(sum),
-        exact_json(sumsq),
-        bits(min),
-        bits(max)
-    )
+fn welford_json(w: &Welford) -> String {
+    moments_json(w.raw())
 }
 
-pub(crate) fn scatter_json(s: &Scatter) -> String {
-    let (n, sums) = s.raw();
-    let items: Vec<String> = sums.iter().map(|x| exact_json(x)).collect();
-    format!("[{n},{}]", items.join(","))
+fn scatter_json(s: &Scatter) -> String {
+    moments_json(s.raw())
 }
 
 pub(crate) fn counts_json(xs: &[u64]) -> String {
@@ -120,8 +102,8 @@ pub(crate) fn counts_json(xs: &[u64]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// Comma-joined corner objects for a checkpoint or partial document.
-pub(crate) fn corners_body(aggregate: &CampaignAggregate) -> String {
+/// Comma-joined corner objects of a checkpoint document.
+fn corners_body(aggregate: &CampaignAggregate) -> String {
     let corners: Vec<String> = aggregate
         .corners
         .iter()
@@ -154,9 +136,8 @@ pub(crate) fn corners_body(aggregate: &CampaignAggregate) -> String {
     corners.join(",")
 }
 
-/// Comma-joined quarantine record objects for a checkpoint or partial
-/// document.
-pub(crate) fn quarantine_body(aggregate: &CampaignAggregate) -> String {
+/// Comma-joined quarantine record objects of a checkpoint document.
+fn quarantine_body(aggregate: &CampaignAggregate) -> String {
     let quarantine: Vec<String> = aggregate
         .quarantine
         .iter()
@@ -242,69 +223,32 @@ pub(crate) fn f64_bits(v: &Json) -> Result<f64, CampaignError> {
     Ok(f64::from_bits(raw))
 }
 
-/// Decodes the sparse `[[index,"signed-decimal"],…]` limb encoding of an
-/// [`ExactSum`]. Rejects out-of-range indices, duplicate indices, and
-/// non-canonical limb values via [`ExactSum::from_sparse`].
-pub(crate) fn exact_from(v: &Json) -> Result<ExactSum, CampaignError> {
+/// Decodes the [`moments_json`] shape.
+fn moments_from<const N: usize>(v: &Json, what: &str) -> Result<(u64, [f64; N]), CampaignError> {
     let a = v
         .as_arr()
-        .ok_or_else(|| bad("exact sum must be an array of limb pairs"))?;
-    let mut pairs = Vec::with_capacity(a.len());
-    for item in a {
-        let pair = item
-            .as_arr()
-            .ok_or_else(|| bad("exact-sum limb must be an [index, value] pair"))?;
-        if pair.len() != 2 {
-            return Err(bad("exact-sum limb must be an [index, value] pair"));
-        }
-        let idx = pair[0]
-            .as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| bad("exact-sum limb index must be a count"))?;
-        let val = pair[1]
-            .as_str()
-            .and_then(|s| s.parse::<i64>().ok())
-            .ok_or_else(|| bad("exact-sum limb value must be a decimal string"))?;
-        pairs.push((idx, val));
+        .ok_or_else(|| bad(format!("{what} state must be an array")))?;
+    if a.len() != N + 1 {
+        return Err(bad(format!("{what} state must have {} elements", N + 1)));
     }
-    ExactSum::from_sparse(&pairs).ok_or_else(|| bad("exact-sum limbs malformed or non-canonical"))
+    let count = a[0]
+        .as_u64()
+        .ok_or_else(|| bad(format!("{what} count must be a count")))?;
+    let mut state = [0.0; N];
+    for (slot, item) in state.iter_mut().zip(&a[1..]) {
+        *slot = f64_bits(item)?;
+    }
+    Ok((count, state))
 }
 
-pub(crate) fn welford_from(v: &Json) -> Result<Welford, CampaignError> {
-    let a = v
-        .as_arr()
-        .ok_or_else(|| bad("welford state must be an array"))?;
-    if a.len() != 5 {
-        return Err(bad("welford state must have 5 elements"));
-    }
-    let count = a[0].as_u64().ok_or_else(|| bad("welford count"))?;
-    Ok(Welford::from_raw(
-        count,
-        exact_from(&a[1])?,
-        exact_from(&a[2])?,
-        f64_bits(&a[3])?,
-        f64_bits(&a[4])?,
-    ))
+fn welford_from(v: &Json) -> Result<Welford, CampaignError> {
+    let (count, state) = moments_from(v, "welford")?;
+    Ok(Welford::from_raw(count, state))
 }
 
-pub(crate) fn scatter_from(v: &Json) -> Result<Scatter, CampaignError> {
-    let a = v
-        .as_arr()
-        .ok_or_else(|| bad("scatter state must be an array"))?;
-    if a.len() != 6 {
-        return Err(bad("scatter state must have 6 elements"));
-    }
-    let n = a[0].as_u64().ok_or_else(|| bad("scatter count"))?;
-    Ok(Scatter::from_raw(
-        n,
-        [
-            exact_from(&a[1])?,
-            exact_from(&a[2])?,
-            exact_from(&a[3])?,
-            exact_from(&a[4])?,
-            exact_from(&a[5])?,
-        ],
-    ))
+fn scatter_from(v: &Json) -> Result<Scatter, CampaignError> {
+    let (n, state) = moments_from(v, "scatter")?;
+    Ok(Scatter::from_raw(n, state))
 }
 
 pub(crate) fn counts_from<const N: usize>(v: &Json, key: &str) -> Result<[u64; N], CampaignError> {
@@ -383,8 +327,8 @@ pub(crate) fn verify_checksum(text: &str) -> Result<(), CampaignError> {
     Ok(())
 }
 
-/// Decodes the `corners` array of a checkpoint or partial document.
-pub(crate) fn corners_from(v: &Json) -> Result<Vec<CornerAggregate>, CampaignError> {
+/// Decodes the `corners` array of a checkpoint document.
+fn corners_from(v: &Json) -> Result<Vec<CornerAggregate>, CampaignError> {
     let mut corners = Vec::new();
     for c in want(v, "corners")?
         .as_arr()
@@ -413,20 +357,25 @@ pub(crate) fn corners_from(v: &Json) -> Result<Vec<CornerAggregate>, CampaignErr
     Ok(corners)
 }
 
-/// Decodes the `quarantine` array of a checkpoint or partial document.
-pub(crate) fn quarantine_from(v: &Json) -> Result<Vec<QuarantineRecord>, CampaignError> {
+/// Decodes a failure kind from its label.
+pub(crate) fn kind_from(v: &Json) -> Result<FailureKind, CampaignError> {
+    let label = v
+        .as_str()
+        .ok_or_else(|| bad("failure kind must be a string"))?;
+    FailureKind::ALL
+        .into_iter()
+        .find(|k| k.label() == label)
+        .ok_or_else(|| bad(format!("unknown failure kind {label:?}")))
+}
+
+/// Decodes the `quarantine` array of a checkpoint document.
+fn quarantine_from(v: &Json) -> Result<Vec<QuarantineRecord>, CampaignError> {
     let mut quarantine = Vec::new();
     for q in want(v, "quarantine")?
         .as_arr()
         .ok_or_else(|| bad("quarantine must be an array"))?
     {
-        let label = want(q, "kind")?
-            .as_str()
-            .ok_or_else(|| bad("quarantine kind must be a string"))?;
-        let kind = *FailureKind::ALL
-            .iter()
-            .find(|k| k.label() == label)
-            .ok_or_else(|| bad(format!("unknown failure kind {label:?}")))?;
+        let kind = kind_from(want(q, "kind")?)?;
         quarantine.push(QuarantineRecord {
             die: want_usize(q, "die")?,
             row: want_usize(q, "row")?,
@@ -619,37 +568,56 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_are_rejected_on_the_schema_tag() {
-        // v1 carried decimal Welford mean/M2 state that cannot be
-        // converted to exact sums; the loader must refuse it rather than
-        // resume from unconvertible state.
+    fn older_schema_documents_are_rejected_on_the_schema_tag() {
+        // v1 carried decimal Welford mean/M2 state and v2 exact-sum limbs;
+        // neither converts to the v3 recurrence state, so the loader must
+        // refuse both rather than resume from unconvertible state.
         let spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 5);
         let agg = CampaignAggregate::new(&spec);
         let text = checkpoint_to_json(1, 0, 0, &agg);
-        // Excise the checksum (a hand-written v1 doc would carry its own
-        // consistent one) so the schema check itself does the rejecting.
+        // Excise the checksum (a document of an older version carries its
+        // own consistent one) so the schema check itself does the
+        // rejecting.
         let start = text.find("\"checksum\"").unwrap();
         let end = text.find("\"next_die\"").unwrap();
-        let v1 = format!("{}{}", &text[..start], &text[end..]).replace(
-            "icvbe-campaign-checkpoint-v2",
+        let unsummed = format!("{}{}", &text[..start], &text[end..]);
+        assert!(checkpoint_from_json(&unsummed).is_ok());
+        for old in [
             "icvbe-campaign-checkpoint-v1",
-        );
-        let err = checkpoint_from_json(&v1).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
+            "icvbe-campaign-checkpoint-v2",
+        ] {
+            let doc = unsummed.replace(CHECKPOINT_SCHEMA, old);
+            let err = checkpoint_from_json(&doc).unwrap_err();
+            assert!(matches!(err, CampaignError::InvalidSpec(_)), "{err:?}");
+            assert!(err.to_string().contains("schema tag"), "{err}");
+        }
     }
 
     #[test]
-    fn populated_exact_sums_round_trip_through_sparse_limbs() {
-        // Feed values with spread exponents (including a subnormal) so
-        // several limbs populate, then require the decoded accumulators
-        // to be limb-for-limb identical.
+    fn recurrence_state_round_trips_bit_exactly() {
+        // Spread exponents, a subnormal and a negative zero: every bit of
+        // the f64 state must survive the hex encoding.
         let mut w = Welford::default();
-        for x in [1.5e-300, -2.25, 3.0e280, 5.0e-310, 7.75] {
+        for x in [1.5e-300, -2.25, 3.0e280, 5.0e-310, 7.75, -0.0] {
             w.absorb(x);
         }
-        let text = welford_json(&w);
-        let v = parse(&text).unwrap();
-        assert_eq!(welford_from(&v).unwrap(), w);
+        let back = welford_from(&parse(&welford_json(&w)).unwrap()).unwrap();
+        assert_eq!(back.raw().0, w.raw().0);
+        assert_eq!(back.raw().1.map(f64::to_bits), w.raw().1.map(f64::to_bits));
+    }
+
+    #[test]
+    fn constant_cloud_stays_degenerate_through_a_round_trip() {
+        let mut s = Scatter::default();
+        for _ in 0..37 {
+            s.absorb(2.58, 1.13);
+        }
+        let back = scatter_from(&parse(&scatter_json(&s)).unwrap()).unwrap();
+        assert_eq!(back, s);
+        for t in [&s, &back] {
+            assert_eq!(t.slope(), 0.0);
+            assert_eq!(t.correlation(), 0.0);
+        }
     }
 
     /// Decodes `text`; fails the test with `what` if the decoder panics.

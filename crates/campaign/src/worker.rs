@@ -7,7 +7,11 @@
 //! through a reorder buffer that releases dies **in index order** into the
 //! [`CampaignAggregate`] — so the floating-point fold is identical no
 //! matter which thread finished first, and memory stays bounded by the
-//! pool's out-of-order window rather than the die count.
+//! pool's out-of-order window rather than the die count. That order is
+//! the only fold order in the program: a service slice or a checkpoint
+//! resume continues this fold from the die it stopped at, and the shard
+//! supervisor absorbs its workers' die records the same way, so no two
+//! accumulators are ever merged.
 //!
 //! [`run_campaign_streaming`] is the general engine: it runs any die
 //! range, resumes from a checkpointed aggregate, observes every folded

@@ -1,10 +1,16 @@
-//! Pins the cost contract of the tracing layer with a counting allocator:
-//! with tracing **disabled** (the default), the per-die pipeline's heap
-//! traffic in steady state is exactly what it was without the trace layer
-//! — identical from die to die, with the disabled `TraceBuf` contributing
-//! zero events and zero allocations. With tracing **enabled**, the extra
-//! allocations are confined to event storage, which also proves the
-//! counter is live rather than vacuously reading zero.
+//! Pins heap-cost contracts with a counting allocator.
+//!
+//! The tracing layer: with tracing **disabled** (the default), the
+//! per-die pipeline's heap traffic in steady state is exactly what it was
+//! without the trace layer — identical from die to die, with the disabled
+//! `TraceBuf` contributing zero events and zero allocations. With tracing
+//! **enabled**, the extra allocations are confined to event storage,
+//! which also proves the counter is live rather than vacuously reading
+//! zero.
+//!
+//! The aggregate: folding a clean die allocates nothing, and a fresh
+//! three-corner aggregate — the state the campaign service copies into
+//! every slice it schedules — is a small fixed-size clone.
 //!
 //! Same scaffold as `icvbe-spice`'s `alloc_free.rs`: a global counting
 //! allocator with a thread-local flag and counter, in its own test binary
@@ -13,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use icvbe_campaign::aggregate::YieldBin;
+use icvbe_campaign::aggregate::{CampaignAggregate, YieldBin};
 use icvbe_campaign::die::{run_die_with, DieScratch};
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 
@@ -22,13 +28,16 @@ use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one (re)allocation on this thread while counting is enabled.
-/// `try_with` so the allocator stays safe during TLS teardown.
-fn bump() {
+/// Counts one (re)allocation of `size` bytes on this thread while
+/// counting is enabled. `try_with` so the allocator stays safe during TLS
+/// teardown.
+fn bump(size: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
     }
 }
 
@@ -36,7 +45,7 @@ struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -45,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,12 +62,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+/// Runs `f` and returns the allocations and bytes it requested on this
+/// thread (a `realloc` counts its new size).
+fn count_heap<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     ALLOCS.with(|c| c.set(0));
+    BYTES.with(|c| c.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCS.with(Cell::get), out)
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get), out)
+}
+
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (n, _, out) = count_heap(f);
+    (n, out)
 }
 
 #[test]
@@ -108,4 +125,29 @@ fn disabled_tracing_adds_no_steady_state_allocations() {
         a_traced > a1,
         "tracing must be the only extra cost: enabled {a_traced} vs disabled {a1}"
     );
+}
+
+#[test]
+fn folding_a_clean_die_allocates_nothing_and_the_aggregate_clones_small() {
+    let spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 0xA110C);
+    assert_eq!(spec.corners.len(), 3);
+    let setpoints = spec.plan.setpoints();
+    let sites = spec.wafer.sites();
+    let mut scratch = DieScratch::new();
+    let mut aggregate = CampaignAggregate::new(&spec);
+
+    let (_, bytes, clone) = count_heap(|| aggregate.clone());
+    assert_eq!(clone, aggregate);
+    assert!(
+        bytes < 2048,
+        "a fresh three-corner aggregate clone requested {bytes} B"
+    );
+
+    for site in sites {
+        let die = run_die_with(&spec, site, &setpoints, &mut scratch);
+        assert!(die.corners.iter().all(|c| c.bin == YieldBin::Pass));
+        let (allocs, ()) = count_allocations(|| aggregate.absorb(&die));
+        assert_eq!(allocs, 0, "folding clean die {} allocated", die.index);
+    }
+    assert_eq!(aggregate.dies, 4);
 }

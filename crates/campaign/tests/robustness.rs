@@ -47,11 +47,11 @@ fn fault_injected_artifacts_are_identical_at_1_2_and_8_threads() {
 #[test]
 fn zero_fault_spec_reproduces_golden_aggregate_bytes() {
     // Fixtures were written by the pre-robustness engine and regenerated
-    // once when aggregation moved to exact superaccumulators (every
-    // serialized statistic is now the correctly-rounded value, a ≤1-ulp
-    // shift from the old streaming fold), and at each solver change
-    // since, the latest the per-unknown Newton step test (aggregates
-    // moved ≤ 3.3e-12 relative): the fault-injection layer must be a
+    // at each change to the solver or the fold: once when aggregation
+    // moved to exact superaccumulators, at each solver change since (the
+    // per-unknown Newton step test moved aggregates ≤ 3.3e-12 relative),
+    // and once when it moved back to Welford recurrences folded in die
+    // order (≤ 2.7e-15 relative): the fault-injection layer must be a
     // strict no-op when every knob is zero.
     let spec = CampaignSpec::paper_default(WaferMap::circular(4), 7);
     assert!(

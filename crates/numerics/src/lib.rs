@@ -37,7 +37,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
-pub mod exact;
 pub mod interp;
 pub mod lm;
 pub mod lsq;

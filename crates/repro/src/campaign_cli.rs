@@ -519,9 +519,9 @@ pub fn help() -> String {
      steps included); --die-wall-ms is the wall-clock escape hatch\n\
      (nondeterministic by nature).\n\
      \n\
-     --shards N runs the wafer across N worker processes, each folding a\n\
-     contiguous die-range slice; the supervisor merges the partial\n\
-     aggregates deterministically, so the report artifacts are\n\
+     --shards N runs the wafer across N worker processes, each running a\n\
+     contiguous die-range slice; the supervisor folds their per-die\n\
+     records in die order, so the report artifacts are\n\
      byte-identical at any shard count (incompatible with --trace and\n\
      --chaos). --adaptive probes each die on its first corner and runs\n\
      the remaining corners only when the probe looks suspicious; clean\n\

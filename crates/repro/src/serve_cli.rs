@@ -43,6 +43,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use icvbe_campaign::MAX_THREADS;
 use icvbe_instrument::chaos::ChaosSpec;
 use icvbe_serve::client::Client;
 use icvbe_serve::daemon::Daemon;
@@ -88,7 +89,10 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliArgs, String> {
         match arg.as_str() {
             "--addr" => out.addr = value("--addr", it.next())?,
             "--threads" => {
-                out.config.threads = positive("--threads", value("--threads", it.next())?)?
+                out.config.threads = positive("--threads", value("--threads", it.next())?)?;
+                if out.config.threads > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}"));
+                }
             }
             "--queue" => {
                 out.config.queue_capacity = positive("--queue", value("--queue", it.next())?)?;
@@ -399,6 +403,15 @@ mod tests {
         assert!(a.config.paused);
         assert!(parse_serve_args(&sv(&["--bogus"])).is_err());
         assert!(parse_serve_args(&sv(&["--threads", "0"])).is_err());
+        // The cap is checked at the parser; no thread is spawned here.
+        let cap = MAX_THREADS.to_string();
+        let a = parse_serve_args(&sv(&["--threads", &cap])).unwrap();
+        assert_eq!(a.config.threads, MAX_THREADS);
+        let above = (MAX_THREADS + 1).to_string();
+        assert_eq!(
+            parse_serve_args(&sv(&["--threads", &above])).unwrap_err(),
+            format!("--threads must be at most {MAX_THREADS}")
+        );
     }
 
     #[test]

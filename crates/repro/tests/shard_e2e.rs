@@ -7,8 +7,8 @@
 //!
 //! These tests spawn the real `repro` binary (the supervisor re-invokes
 //! it as the hidden `shard-worker` subcommand), so they cover the full
-//! process boundary: request serialization, partial-aggregate checksum
-//! framing, and the left-to-right fold in the parent.
+//! process boundary: request serialization, partial checksum framing,
+//! and the in-order fold of the shards' die records in the parent.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -119,6 +119,36 @@ fn sharded_artifacts_survive_fault_injection_byte_identically() {
             ],
         );
         assert_artifacts_identical(&baseline, &out, &format!("faults=light shards={shards}"));
+        fs::remove_dir_all(&out).expect("clean scratch");
+    }
+    fs::remove_dir_all(&baseline).expect("clean scratch");
+}
+
+#[test]
+fn sharded_adaptive_artifacts_match_the_in_process_run() {
+    // Adaptive runs skip corners, so `skipped` bins cross the die-record
+    // codec on their way to the supervisor's fold.
+    let baseline = scratch("adaptive-baseline");
+    run_campaign_ok(&baseline, &["--threads", "2", "--adaptive"]);
+    let json = fs::read_to_string(baseline.join("campaign_aggregate.json")).expect("baseline");
+    assert!(
+        json.contains("\"skipped\":12"),
+        "adaptive baseline skips no corner"
+    );
+
+    for shards in [2usize, 4] {
+        let out = scratch("adaptive");
+        run_campaign_ok(
+            &out,
+            &[
+                "--threads",
+                "1",
+                "--adaptive",
+                "--shards",
+                &shards.to_string(),
+            ],
+        );
+        assert_artifacts_identical(&baseline, &out, &format!("adaptive shards={shards}"));
         fs::remove_dir_all(&out).expect("clean scratch");
     }
     fs::remove_dir_all(&baseline).expect("clean scratch");

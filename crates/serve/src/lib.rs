@@ -21,9 +21,8 @@
 //!   and the end-to-end tests.
 //! - [`shard`]: multi-process campaign execution — a supervisor spawns N
 //!   worker processes, each running a contiguous die-range slice, and
-//!   folds their serialized partial aggregates through a deterministic
-//!   left-to-right merge that reproduces the single-process report bytes
-//!   at any shard count.
+//!   folds their serialized per-die records in die order, which
+//!   reproduces the single-process report bytes at any shard count.
 //!
 //! # Determinism contract
 //!

@@ -16,8 +16,8 @@
 //!   typed `queue_full` error carrying `retry_after_ms` — explicit
 //!   backpressure instead of unbounded memory.
 //! - **Checkpoints**: with a checkpoint directory configured, every job
-//!   writes its exact fold state (die cursor + aggregate, `f64`s as bit
-//!   patterns) at admission, every
+//!   writes its fold state bit-exactly (die cursor + aggregate, `f64`s as
+//!   bit patterns) at admission, every
 //!   [`ServiceConfig::checkpoint_every`] folded dies, and at shutdown; a
 //!   restarted service re-admits the jobs it finds and resumes them
 //!   byte-identically.
@@ -48,7 +48,7 @@ use crate::protocol::{cancelled_line, die_line, done_line, PROTOCOL_VERSION};
 
 /// Schema tag of the service-level checkpoint files (one per live job in
 /// the checkpoint directory; the campaign state itself uses the
-/// `icvbe-campaign-checkpoint-v1` codec nested inside).
+/// `icvbe_campaign::checkpoint` codec nested inside).
 pub const SERVE_CHECKPOINT_SCHEMA: &str = "icvbe-serve-checkpoint-v1";
 
 /// Poison-safe lock: the service must keep serving even if some thread

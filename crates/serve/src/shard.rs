@@ -1,20 +1,20 @@
-//! Sharded campaign execution: N worker **processes**, one deterministic
-//! tree merge.
+//! Sharded campaign execution: N worker **processes**, one in-order
+//! fold.
 //!
 //! The in-process engine already fans dies across threads; this module
 //! fans a campaign across *processes* — the shape production test farms
 //! actually run (one tester host per wafer slice, a supervisor folding
 //! the lot report). Each worker runs a contiguous die-range slice of the
 //! spec through `run_campaign_streaming` and emits a serialized
-//! [`PartialAggregate`]; the supervisor folds the partials **left to
-//! right in ascending die order** through
-//! [`PartialAggregate::merge`], which reproduces the single-process
-//! fold's bytes exactly:
+//! [`PartialAggregate`]: one record per folded die plus its counters. The
+//! supervisor reads the partials in shard order and absorbs every record
+//! into one `CampaignAggregate` — shard order is die order, so this is
+//! the single-process fold, die for die, and its bytes match by
+//! construction:
 //!
-//! - the statistics are exact superaccumulators (integer limb adds), so
-//!   per-shard sub-sums merge without rounding;
-//! - the quarantine record list concatenates in die order because the
-//!   merge enforces slice adjacency;
+//! - the statistics see the same values in the same order;
+//! - the quarantine list is rebuilt by the same fold, so it comes out
+//!   die-sorted;
 //! - counters and histograms are plain integer adds.
 //!
 //! The four deterministic report artifacts are therefore byte-identical
@@ -31,7 +31,7 @@
 //! |---|---|
 //! | supervisor → worker | `{"cmd":"shard_run","version":2,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
-//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v6"`) |
+//! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v7"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
 //!
 //! A worker that exits without a terminal line (crash, kill, OOM) is
@@ -47,6 +47,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
+use icvbe_campaign::aggregate::CampaignAggregate;
 use icvbe_campaign::die::DieBudget;
 use icvbe_campaign::json::{parse, Json};
 use icvbe_campaign::metrics::CampaignCounters;
@@ -99,16 +100,13 @@ pub enum ShardError {
         detail: String,
     },
     /// A worker's terminal document was malformed or described the wrong
-    /// slice.
+    /// slice or spec.
     Protocol {
         /// Shard index.
         shard: usize,
         /// What was wrong with the document.
         detail: String,
     },
-    /// The left-to-right fold rejected a partial (fingerprint mismatch or
-    /// non-adjacent slices).
-    Merge(String),
 }
 
 impl std::fmt::Display for ShardError {
@@ -134,7 +132,6 @@ impl std::fmt::Display for ShardError {
             ShardError::Protocol { shard, detail } => {
                 write!(f, "shard worker {shard} protocol violation: {detail}")
             }
-            ShardError::Merge(d) => write!(f, "merging shard partials: {d}"),
         }
     }
 }
@@ -210,9 +207,9 @@ pub fn shard_request_line(
     )
 }
 
-/// Runs `spec` across `opts.shards` worker processes and folds their
-/// partial aggregates into one [`CampaignRun`] whose deterministic
-/// artifacts are byte-identical to a single-process run.
+/// Runs `spec` across `opts.shards` worker processes and folds their die
+/// records into one [`CampaignRun`] whose deterministic artifacts are
+/// byte-identical to a single-process run.
 ///
 /// The returned run's metrics are the supervisor's view: merged worker
 /// counters and histograms, the supervisor's wall clock, `threads` set to
@@ -240,8 +237,8 @@ pub fn run_sharded(spec: &CampaignSpec, opts: &ShardOptions) -> Result<CampaignR
     let started = Instant::now();
 
     // Spawn every worker first so the slices run concurrently; results
-    // are then *read* sequentially in shard order, which is exactly the
-    // left-to-right association the merge requires.
+    // are then *read* sequentially in shard order, which is die order —
+    // the one order the fold accepts.
     let mut children: Vec<Option<Child>> = Vec::with_capacity(opts.shards);
     for (shard, range) in ranges.iter().enumerate() {
         let spawn = |shard: usize| -> std::io::Result<Child> {
@@ -271,8 +268,10 @@ pub fn run_sharded(spec: &CampaignSpec, opts: &ShardOptions) -> Result<CampaignR
         }
     }
 
-    // Sequential left-to-right fold over the shards' partials.
-    let mut folded: Option<PartialAggregate> = None;
+    // One fold over every shard's records, in shard order.
+    let mut aggregate = CampaignAggregate::new(spec);
+    let counters = CampaignCounters::default();
+    let mut max_reorder_buffer = 0;
     for (shard, range) in ranges.iter().enumerate() {
         let Some(mut child) = children[shard].take() else {
             continue;
@@ -287,33 +286,46 @@ pub fn run_sharded(spec: &CampaignSpec, opts: &ShardOptions) -> Result<CampaignR
             }
         };
         let _ = child.wait();
-        if partial.fingerprint != fingerprint || (partial.start_die, partial.end_die) != *range {
+        let wrong = if partial.fingerprint != fingerprint
+            || (partial.start_die, partial.end_die) != *range
+        {
+            Some(format!(
+                "partial describes slice [{}, {}) of spec {:016x}, expected [{}, {}) of {fingerprint:016x}",
+                partial.start_die, partial.end_die, partial.fingerprint, range.0, range.1
+            ))
+        } else {
+            partial
+                .dies
+                .iter()
+                .find(|d| d.corners.len() != spec.corners.len())
+                .map(|d| {
+                    format!(
+                        "die {} has {} corner records, the spec has {} corners",
+                        d.index,
+                        d.corners.len(),
+                        spec.corners.len()
+                    )
+                })
+        };
+        if let Some(detail) = wrong {
             kill_all(&mut children);
-            return Err(ShardError::Protocol {
-                shard,
-                detail: format!(
-                    "partial describes slice [{}, {}) of spec {:016x}, expected [{}, {}) of {fingerprint:016x}",
-                    partial.start_die, partial.end_die, partial.fingerprint, range.0, range.1
-                ),
-            });
+            return Err(ShardError::Protocol { shard, detail });
         }
-        match folded.as_mut() {
-            None => folded = Some(partial),
-            Some(acc) => acc
-                .merge(partial)
-                .map_err(|e| ShardError::Merge(e.to_string()))?,
+        for die in &partial.dies {
+            aggregate.absorb(die);
         }
+        counters.merge(&partial.counters);
+        max_reorder_buffer = max_reorder_buffer.max(partial.max_reorder_buffer);
     }
-    let folded = folded.ok_or_else(|| ShardError::Config("no shards ran".into()))?;
 
-    let metrics = folded.counters.snapshot(
+    let metrics = counters.snapshot(
         opts.shards * opts.threads.max(1),
         started.elapsed().as_nanos() as u64,
-        folded.max_reorder_buffer,
+        max_reorder_buffer,
     );
     Ok(CampaignRun {
         spec: spec.clone(),
-        aggregate: folded.aggregate,
+        aggregate,
         metrics,
         trace: None,
     })
@@ -498,7 +510,7 @@ pub fn parse_shard_request(line: &str) -> Result<ShardRequest, ProtocolError> {
 }
 
 /// Parses and executes one `shard_run` request; returns the terminal
-/// partial-aggregate line.
+/// partial line.
 fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
     let ShardRequest {
         shard,
@@ -531,9 +543,10 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         budget,
         ..StreamOptions::default()
     };
-    let mut folded = 0u64;
-    let run = run_campaign_streaming(&spec, threads, &options, |_, _| {
-        folded += 1;
+    let mut dies = Vec::with_capacity(end_die - start_die);
+    let run = run_campaign_streaming(&spec, threads, &options, |die, _| {
+        dies.push(die.clone());
+        let folded = dies.len() as u64;
         if fail_here {
             // Mid-slice abort: at least one die folded, terminal line
             // never written.
@@ -559,7 +572,7 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         fingerprint,
         start_die,
         end_die,
-        aggregate: run.aggregate,
+        dies,
         counters,
         max_reorder_buffer: run.metrics.max_reorder_buffer,
     };
@@ -635,7 +648,7 @@ mod tests {
         let out = shard_worker_run(&line).unwrap();
         let p = partial_from_json(&out).unwrap();
         assert_eq!((p.start_die, p.end_die), (0, 5));
-        assert_eq!(p.aggregate.dies, 5);
+        assert_eq!(p.dies.len(), 5);
         assert_eq!(p.fingerprint, spec_fingerprint(&spec));
     }
 
@@ -646,24 +659,22 @@ mod tests {
         let line = shard_request_line(&spec, 5, (4, 4), &ShardOptions::default());
         let p = partial_from_json(&shard_worker_run(&line).unwrap()).unwrap();
         assert_eq!((p.start_die, p.end_die), (4, 4));
-        assert_eq!(p.aggregate.dies, 0);
+        assert!(p.dies.is_empty());
     }
 
     #[test]
-    fn two_worker_partials_merge_to_the_single_process_aggregate() {
+    fn two_worker_partials_fold_to_the_single_process_aggregate() {
         let mut spec = CampaignSpec::paper_default(WaferMap::full(3, 3), 41);
         spec.corners.truncate(2);
         let whole = icvbe_campaign::run_campaign(&spec, 1).unwrap();
         let opts = ShardOptions::default();
-        let mut left = partial_from_json(
-            &shard_worker_run(&shard_request_line(&spec, 0, (0, 5), &opts)).unwrap(),
-        )
-        .unwrap();
-        let right = partial_from_json(
-            &shard_worker_run(&shard_request_line(&spec, 1, (5, 9), &opts)).unwrap(),
-        )
-        .unwrap();
-        left.merge(right).unwrap();
-        assert_eq!(left.aggregate, whole.aggregate);
+        let mut aggregate = CampaignAggregate::new(&spec);
+        for (shard, range) in [(0, 5), (5, 9)].into_iter().enumerate() {
+            let line = shard_worker_run(&shard_request_line(&spec, shard, range, &opts)).unwrap();
+            for die in &partial_from_json(&line).unwrap().dies {
+                aggregate.absorb(die);
+            }
+        }
+        assert_eq!(aggregate, whole.aggregate);
     }
 }

@@ -9,9 +9,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use icvbe_campaign::json::Json;
+use icvbe_campaign::aggregate::CampaignAggregate;
+use icvbe_campaign::checkpoint::{checkpoint_to_json, CHECKPOINT_SCHEMA};
+use icvbe_campaign::json::{escape, Json};
 use icvbe_campaign::report::{aggregate_csv, aggregate_json, quarantine_csv, quarantine_json};
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
+use icvbe_campaign::wire::{spec_fingerprint, spec_to_json};
 use icvbe_campaign::{run_campaign, CampaignRun};
 use icvbe_instrument::chaos::ChaosSpec;
 use icvbe_serve::client::Client;
@@ -222,6 +225,70 @@ fn unreadable_checkpoints_are_dropped_and_counted_not_fatal() {
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&ckdir);
+}
+
+/// A service checkpoint file for `spec` admitted as job 4 and not yet
+/// started, its campaign state written by the current codec, or — with
+/// `v2` — by the previous one: the same document with exact-sum limb
+/// lists in place of the f64 recurrence state and no checksum.
+fn admission_checkpoint_file(spec: &CampaignSpec, v2: bool) -> String {
+    let mut campaign =
+        checkpoint_to_json(spec_fingerprint(spec), 0, 1, &CampaignAggregate::new(spec));
+    if v2 {
+        let start = campaign.find("\"checksum\"").expect("checksum field");
+        let end = campaign.find("\"next_die\"").expect("next_die field");
+        let zero = "\"0000000000000000\"";
+        campaign = format!("{}{}", &campaign[..start], &campaign[end..])
+            .replace(CHECKPOINT_SCHEMA, "icvbe-campaign-checkpoint-v2")
+            .replace(
+                &format!("[0,{}]", [zero; 5].join(",")),
+                "[0,[],[],[],[],[]]",
+            )
+            .replace(&format!("[0,{zero},{zero},"), "[0,[],[],");
+        assert!(!campaign.contains(zero), "every v3 moment rewritten");
+    }
+    format!(
+        "{{\"schema\":\"icvbe-serve-checkpoint-v1\",\"job\":4,\"tenant\":\"acme\",\"label\":\"old\",\"spec\":\"{}\",\"campaign\":\"{}\"}}\n",
+        escape(&spec_to_json(spec)),
+        escape(&campaign)
+    )
+}
+
+#[test]
+fn previous_version_checkpoints_are_dropped_and_the_job_reruns_from_die_zero() {
+    let spec = spec(2, 0x5C4E);
+    let want = golden(&spec);
+    for v2 in [false, true] {
+        let ckdir = std::env::temp_dir().join(format!("icvbe_serve_chaos_schema_{v2}"));
+        let _ = std::fs::remove_dir_all(&ckdir);
+        std::fs::create_dir_all(&ckdir).expect("mkdir");
+        std::fs::write(
+            ckdir.join("job-4.json"),
+            admission_checkpoint_file(&spec, v2),
+        )
+        .expect("checkpoint");
+        let config = ServiceConfig {
+            checkpoint_dir: Some(ckdir.clone()),
+            ..ServiceConfig::default()
+        };
+        let daemon = Daemon::start(config, "127.0.0.1:0").expect("daemon");
+        let stats = daemon.service().stats();
+        if !v2 {
+            // Control: the same file at the current schema resumes.
+            assert_eq!((stats.resumed, stats.dropped_corrupt), (1, 0), "{stats:?}");
+            daemon.stop();
+            let _ = std::fs::remove_dir_all(&ckdir);
+            continue;
+        }
+        assert_eq!((stats.resumed, stats.dropped_corrupt), (0, 1), "{stats:?}");
+        // Resubmitted, the job runs from die 0 to the one-shot bytes.
+        let mut client = Client::connect(&daemon.local_addr().to_string()).expect("connect");
+        client.submit("acme", "old", &spec, true).expect("submit");
+        let artifacts = client.wait_done(|_, _| {}).expect("job");
+        assert_matches_golden(&artifacts, &want);
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&ckdir);
+    }
 }
 
 #[test]
